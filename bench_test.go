@@ -253,11 +253,15 @@ func BenchmarkThresholdPruning(b *testing.B) {
 		for _, mode := range []string{"blind", "seeded"} {
 			b.Run(fmt.Sprintf("%s/S=%d/%s", solver, shards, mode), func(b *testing.B) {
 				solver := solver
+				schedule := shard.AutoSchedule
+				if mode == "blind" {
+					schedule = shard.SingleWave
+				}
 				s := shard.New(shard.Config{
-					Shards:              shards,
-					Partitioner:         shard.ByNorm(),
-					Factory:             func() mips.Solver { return benchSolver(solver) },
-					DisableFloorSeeding: mode == "blind",
+					Shards:      shards,
+					Partitioner: shard.ByNorm(),
+					Factory:     func() mips.Solver { return benchSolver(solver) },
+					Schedule:    schedule,
 				})
 				if err := s.Build(m.Users, m.Items); err != nil {
 					b.Fatal(err)

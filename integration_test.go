@@ -34,7 +34,7 @@ func allSolvers() []Solver {
 			Partitioner: ShardByNorm(),
 			Factory:     func() Solver { return NewMaximus(MaximusConfig{Seed: 9}) },
 		}),
-		// Two-wave threshold propagation (ByNorm + floor-capable sub-solver)
+		// Two-wave threshold propagation (ByNorm + a pruning sub-solver)
 		// and its single-wave lesion must both agree with everything else.
 		NewSharded(ShardedConfig{
 			Shards:      3,
@@ -42,10 +42,10 @@ func allSolvers() []Solver {
 			Factory:     func() Solver { return NewLEMP(LEMPConfig{Seed: 9}) },
 		}),
 		NewSharded(ShardedConfig{
-			Shards:              3,
-			Partitioner:         ShardByNorm(),
-			DisableFloorSeeding: true,
-			Factory:             func() Solver { return NewLEMP(LEMPConfig{Seed: 9}) },
+			Shards:      3,
+			Partitioner: ShardByNorm(),
+			Schedule:    ScheduleSingle,
+			Factory:     func() Solver { return NewLEMP(LEMPConfig{Seed: 9}) },
 		}),
 	}
 }

@@ -1,7 +1,6 @@
-// Cancellation and graceful-degradation contracts (ISSUE 8): the
-// CancellableQuerier deadline-propagation interface every solver implements,
-// and the PartialQuerier/Coverage degraded-answer contract the sharded
-// executor offers the serving layer.
+// The QueryCtx options and their floor contracts, and the
+// PartialQuerier/Coverage degraded-answer contract the sharded executor
+// offers the serving layer.
 package mips
 
 import (
@@ -14,44 +13,76 @@ import (
 )
 
 // QueryOptions carries the optional floor source of a QueryCtx call. At most
-// one of Floors and Board may be set; both nil is a plain query.
+// one of Floors and Board may be set; both nil is a plain query. Either
+// source only changes the starting value of the running k-th score every
+// solver already prunes against.
 type QueryOptions struct {
-	// Floors, when non-nil, seeds the query as ThresholdQuerier documents
-	// (positionally aligned with userIDs).
+	// Floors, when non-nil, seeds the query with static per-user floors —
+	// the floor contract, verified by VerifyFloorPrefix. floors[i] is a
+	// lower bound on the global k-th score of user userIDs[i], or
+	// math.Inf(-1) for "no bound"; len(Floors) must equal len(userIDs) and
+	// NaN is rejected. The result for user i is exactly the prefix of the
+	// unseeded Query(userIDs, k) result whose scores are >= its floor: every
+	// entry whose score beats or ties the floor appears, in the identical
+	// rank with the identical score, and entries strictly below the floor
+	// may be omitted (rows may therefore be shorter than k, and empty). Ties
+	// at the floor MUST be retained — a tied item can still win a global
+	// merge on the lower-item-id rule. With every floor at -Inf the call is
+	// equivalent to Query.
 	Floors []float64
-	// Board, when non-nil, is a live floor source as LiveFloorQuerier
-	// documents. Solvers without live polling may snapshot it (a valid
-	// static floor: cells only ever rise).
+
+	// Board, when non-nil, is a live floor source — the pipelined wave
+	// schedule, where shards run concurrently and publish each user's k-th
+	// score the moment their own scan completes. Cell i belongs to user
+	// userIDs[i], so Board.Len() must equal len(userIDs). Every cell is, at
+	// every instant, a valid lower bound on its user's global k-th score,
+	// and only ever rises (topk.FloorBoard enforces the monotonicity). The
+	// solver seeds each user's heap from the cell at the start of that
+	// user's scan and may re-poll it at any of its pruning decision points,
+	// raising the heap floor via topk.Heap.RaiseFloor; solvers without live
+	// polling snapshot the board into static Floors. Either way the result
+	// is entry-for-entry the prefix a static Floors query at the highest
+	// floor observed would return. Because observed floors only rise, that
+	// result also satisfies the floor contract against any later cell
+	// value: callers certify with VerifyFloorPrefix using a board snapshot
+	// taken at or after return (a snapshot from call entry would be too low
+	// — entries between it and the observed floor were legitimately
+	// dropped). With no concurrent raisers the call is fully deterministic;
+	// under concurrency the result set is still exact, only the scan counts
+	// vary with raise timing.
 	Board *topk.FloorBoard
 }
 
-// CancellableQuerier is the optional interface for solvers whose queries
-// honor a context — the deadline/cancellation propagation path the serving
-// layer and the sharded fan-out thread end to end.
-//
-// Contract: cancellation is cooperative. The solver polls ctx at its natural
-// work boundaries — the same seams LiveFloorQuerier already polls (LEMP's
-// bucket boundary, MAXIMUS's cluster loop and walk poll points, the cone
-// tree's internal nodes, FEXIPRO's scan poll interval, BMM's score slabs) —
-// and returns ctx.Err() promptly once ctx is done, discarding partial work.
-// A query that runs to completion before noticing cancellation may return
-// its (exact) results instead. A nil ctx, like context.Background(), never
-// cancels; results are then identical to Query / QueryWithFloors /
-// QueryWithFloorBoard for the same floor source.
-type CancellableQuerier interface {
-	QueryCtx(ctx context.Context, userIDs []int, k int, opts QueryOptions) ([][]topk.Entry, error)
+// ValidateQueryOptions checks the QueryCtx argument shapes shared by all
+// implementations: at most one floor source, floors aligned with userIDs
+// and free of NaN, a board with one cell per user. A board cannot hold NaN
+// (FloorBoard ignores it at Raise), so only its alignment is checked.
+func ValidateQueryOptions(userIDs []int, opts QueryOptions) error {
+	switch {
+	case opts.Floors != nil && opts.Board != nil:
+		return fmt.Errorf("mips: QueryOptions carries both floors and a board (want at most one floor source)")
+	case opts.Floors != nil:
+		return ValidateFloors(userIDs, opts.Floors)
+	case opts.Board != nil && opts.Board.Len() != len(userIDs):
+		return fmt.Errorf("mips: floor board has %d cells for %d users", opts.Board.Len(), len(userIDs))
+	}
+	return nil
 }
 
-// ValidateQueryOptions checks the QueryCtx argument shapes shared by all
-// implementations: at most one floor source, each validated by its own rules.
-func ValidateQueryOptions(userIDs []int, opts QueryOptions) error {
-	if opts.Floors != nil && opts.Board != nil {
-		return fmt.Errorf("mips: QueryOptions carries both floors and a board (want at most one floor source)")
+// ValidateFloors checks a QueryOptions.Floors slice against the query's
+// user list. NaN floors are rejected: every comparison against NaN is
+// false, which would silently disable pruning on some paths and reject
+// everything on others.
+func ValidateFloors(userIDs []int, floors []float64) error {
+	if len(floors) != len(userIDs) {
+		return fmt.Errorf("mips: %d floors for %d users", len(floors), len(userIDs))
 	}
-	if opts.Floors != nil {
-		return ValidateFloors(userIDs, opts.Floors)
+	for i, f := range floors {
+		if f != f {
+			return fmt.Errorf("mips: floor %d is NaN", i)
+		}
 	}
-	return ValidateFloorBoard(userIDs, opts.Board)
+	return nil
 }
 
 // CtxErr reports a context's error, tolerating the nil ("no deadline")
@@ -106,8 +137,8 @@ type PartialQuerier interface {
 	QueryPartial(ctx context.Context, userIDs []int, k int) ([][]topk.Entry, Coverage, error)
 }
 
-// QueryCtx implements CancellableQuerier for the naive reference solver,
-// polling between users — each user's scan is one natural work unit.
+// QueryCtx implements Solver for the naive reference solver, polling between
+// users — each user's scan is one natural work unit.
 func (n *Naive) QueryCtx(ctx context.Context, userIDs []int, k int, opts QueryOptions) ([][]topk.Entry, error) {
 	if err := ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err

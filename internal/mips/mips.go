@@ -5,6 +5,7 @@
 package mips
 
 import (
+	"context"
 	"fmt"
 
 	"optimus/internal/mat"
@@ -13,8 +14,8 @@ import (
 
 // Solver is an exact batch top-K MIPS solver. The lifecycle is
 // Build (construct index structures over fixed user/item matrices) followed
-// by any number of Query/QueryAll calls. Implementations are read-only after
-// Build and safe for concurrent Query calls.
+// by any number of Query/QueryAll/QueryCtx calls. Implementations are
+// read-only after Build and safe for concurrent queries.
 type Solver interface {
 	// Name identifies the solver in reports ("BMM", "MAXIMUS", "LEMP", ...).
 	Name() string
@@ -31,6 +32,19 @@ type Solver interface {
 
 	// QueryAll returns the exact top-k items for every user.
 	QueryAll(k int) ([][]topk.Entry, error)
+
+	// QueryCtx is Query with a deadline and an optional floor source — the
+	// one floor-aware query path (see QueryOptions for the floor
+	// contracts). Cancellation is cooperative: the solver polls ctx at its
+	// natural work boundaries (BMM's score slabs, MAXIMUS's cluster loop
+	// and walk poll points, LEMP's bucket boundary, the cone tree's
+	// internal nodes, FEXIPRO's scan poll interval) and returns ctx.Err()
+	// promptly once ctx is done, discarding partial work. A query that
+	// runs to completion before noticing cancellation may return its exact
+	// results instead. A nil ctx, like context.Background(), never
+	// cancels; with a nil ctx and zero options the result is Query's,
+	// entry for entry.
+	QueryCtx(ctx context.Context, userIDs []int, k int, opts QueryOptions) ([][]topk.Entry, error)
 
 	// Batches reports whether the solver amortizes work across the users
 	// within a single Query call (true for BMM and MAXIMUS). The OPTIMUS
@@ -61,79 +75,6 @@ type Sized interface {
 	NumUsers() int
 	// NumItems returns the number of item rows the solver was built over.
 	NumItems() int
-}
-
-// ThresholdQuerier is the optional interface for solvers that can exploit a
-// caller-supplied lower bound on each user's global top-k threshold — the
-// floor-seeded pruning path. The sharded two-wave executor queries the
-// norm-sorted head shard first, harvests every user's k-th score, and fans
-// the tail shards out through this interface so their bound checks fire
-// before the heaps fill.
-//
-// Contract (the floor contract, verified in the same style as VerifyAll):
-// floors[i] is a lower bound on the global k-th score of user userIDs[i], or
-// math.Inf(-1) for "no bound". The result for user i must be exactly the
-// prefix of the unseeded Query(userIDs, k) result whose scores are >= its
-// floor: every entry whose score beats or ties the floor appears, in the
-// identical rank with the identical score, and entries strictly below the
-// floor may be omitted (rows may therefore be shorter than k, and empty).
-// Ties at the floor MUST be retained — a tied item can still win the global
-// merge on the lower-item-id rule. With every floor at -Inf the call is
-// equivalent to Query. len(floors) must equal len(userIDs).
-type ThresholdQuerier interface {
-	QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error)
-}
-
-// ValidateFloors checks the QueryWithFloors argument shapes shared by all
-// implementations. NaN floors are rejected: every comparison against NaN is
-// false, which would silently disable pruning on some paths and reject
-// everything on others.
-func ValidateFloors(userIDs []int, floors []float64) error {
-	if len(floors) != len(userIDs) {
-		return fmt.Errorf("mips: %d floors for %d users", len(floors), len(userIDs))
-	}
-	for i, f := range floors {
-		if f != f {
-			return fmt.Errorf("mips: floor %d is NaN", i)
-		}
-	}
-	return nil
-}
-
-// LiveFloorQuerier is the optional interface for solvers that can poll a
-// *live* floor source during a query — the pipelined wave schedule, where
-// shards run concurrently and publish each user's k-th score the moment
-// their own scan completes, tightening the floors of every scan still in
-// flight. board cell i belongs to user userIDs[i] (positionally aligned,
-// like QueryWithFloors' floors slice).
-//
-// Contract: every cell is, at every instant, a valid lower bound on its
-// user's global k-th score, and only ever rises (topk.FloorBoard enforces
-// the monotonicity). The solver must seed each user's heap from the cell at
-// the start of that user's scan and may re-poll it at any of its existing
-// pruning decision points, raising the heap floor via topk.Heap.RaiseFloor —
-// which evicts retained entries the tightened floor now excludes, so the
-// result is entry-for-entry the prefix a static QueryWithFloors at the
-// highest observed floor would return. Because observed floors only rise,
-// that result also satisfies the floor contract against any *later* cell
-// value: callers certify with VerifyFloorPrefix using a board snapshot taken
-// at or after return (a snapshot from call entry would be too low — entries
-// between it and the observed floor were legitimately dropped). A nil board
-// is equivalent to Query. With no concurrent raisers the call is fully
-// deterministic; under concurrency the result set is still exact, only the
-// scan counts vary with raise timing.
-type LiveFloorQuerier interface {
-	QueryWithFloorBoard(userIDs []int, k int, board *topk.FloorBoard) ([][]topk.Entry, error)
-}
-
-// ValidateFloorBoard checks the QueryWithFloorBoard argument shapes shared
-// by all implementations. NaN cannot occur (FloorBoard rejects it at Raise),
-// so only the alignment is checked; a nil board is valid ("no bounds").
-func ValidateFloorBoard(userIDs []int, board *topk.FloorBoard) error {
-	if board != nil && board.Len() != len(userIDs) {
-		return fmt.Errorf("mips: floor board has %d cells for %d users", board.Len(), len(userIDs))
-	}
-	return nil
 }
 
 // FloorAwareEstimator is the optional interface for solvers whose *build*
@@ -188,8 +129,8 @@ type ThreadSetter interface {
 	SetThreads(n int)
 }
 
-// ValidateInputs performs the shape checks shared by all Build
-// implementations.
+// ValidateInputs performs the shape and finiteness checks shared by all
+// Build and snapshot Load implementations.
 func ValidateInputs(users, items *mat.Matrix) error {
 	if users == nil || items == nil {
 		return fmt.Errorf("mips: nil input matrix")
@@ -205,6 +146,34 @@ func ValidateInputs(users, items *mat.Matrix) error {
 	}
 	if k := users.Cols(); k == 0 {
 		return fmt.Errorf("mips: zero latent factors")
+	}
+	if err := ValidateFinite("users", users); err != nil {
+		return err
+	}
+	return ValidateFinite("items", items)
+}
+
+// NonFiniteError reports a NaN or ±Inf entry in a solver input. Every
+// solver prunes with inner-product bounds a non-finite entry voids — NaN
+// compares false against every threshold, ±Inf defeats every bound — so
+// the input validators reject such matrices before any state changes.
+type NonFiniteError struct {
+	Matrix   string // "users" or "items"
+	Row, Col int
+	Value    float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("mips: %s[%d][%d] is %v; inputs must be finite", e.Matrix, e.Row, e.Col, e.Value)
+}
+
+// ValidateFinite returns a *NonFiniteError naming the first NaN or ±Inf
+// entry of m, or nil.
+func ValidateFinite(name string, m *mat.Matrix) error {
+	for i, v := range m.Data() {
+		if v-v != 0 { // NaN and ±Inf only
+			return &NonFiniteError{Matrix: name, Row: i / m.Cols(), Col: i % m.Cols(), Value: v}
+		}
 	}
 	return nil
 }
@@ -265,25 +234,7 @@ func (n *Naive) Build(users, items *mat.Matrix) error {
 
 // Query implements Solver.
 func (n *Naive) Query(userIDs []int, k int) ([][]topk.Entry, error) {
-	if n.users == nil {
-		return nil, fmt.Errorf("mips: Query before Build")
-	}
-	if err := ValidateK(k, n.items.Rows()); err != nil {
-		return nil, err
-	}
-	out := make([][]topk.Entry, len(userIDs))
-	for qi, u := range userIDs {
-		if u < 0 || u >= n.users.Rows() {
-			return nil, fmt.Errorf("mips: user id %d out of range [0,%d)", u, n.users.Rows())
-		}
-		h := topk.New(k)
-		urow := n.users.Row(u)
-		for j := 0; j < n.items.Rows(); j++ {
-			h.Push(j, mat.Dot(urow, n.items.Row(j)))
-		}
-		out[qi] = h.Sorted()
-	}
-	return out, nil
+	return n.QueryCtx(nil, userIDs, k, QueryOptions{})
 }
 
 // QueryAll implements Solver.
@@ -349,12 +300,12 @@ func VerifyTopK(user []float64, items *mat.Matrix, got []topk.Entry, k int, tol 
 	return nil
 }
 
-// VerifyFloorPrefix checks a QueryWithFloors result against the unseeded
-// reference for the same (userIDs, k): each seeded row must be a prefix of
-// the corresponding unseeded row that retains at least every entry whose
-// score beats or ties its floor — the floor contract on ThresholdQuerier.
-// Scores are compared exactly: both calls run the same kernels over the same
-// sub-matrices, so even the last ulp must agree.
+// VerifyFloorPrefix checks a floor-seeded QueryCtx result against the
+// unseeded reference for the same (userIDs, k): each seeded row must be a
+// prefix of the corresponding unseeded row that retains at least every entry
+// whose score beats or ties its floor — the floor contract on
+// QueryOptions.Floors. Scores are compared exactly: both calls run the same
+// kernels over the same sub-matrices, so even the last ulp must agree.
 func VerifyFloorPrefix(unseeded, seeded [][]topk.Entry, floors []float64) error {
 	if len(seeded) != len(unseeded) {
 		return fmt.Errorf("mips: %d seeded rows for %d unseeded", len(seeded), len(unseeded))

@@ -1,6 +1,8 @@
 package mips
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -237,5 +239,48 @@ func TestScanStatsAdd(t *testing.T) {
 	s.Add(ScanStats{Scanned: 4})
 	if s.Scanned != 7 {
 		t.Fatalf("Scanned = %d, want 7", s.Scanned)
+	}
+}
+
+// TestLoadRejectsNonFinite: a snapshot carrying a NaN (written by a solver
+// whose input was poisoned after Build) fails Load with a
+// *NonFiniteError instead of restoring a solver whose bounds it voids.
+func TestLoadRejectsNonFinite(t *testing.T) {
+	users, items := randModel(rand.New(rand.NewSource(4)), 5, 7, 3)
+	n := NewNaive()
+	if err := n.Build(users, items); err != nil {
+		t.Fatal(err)
+	}
+	items.Row(6)[2] = math.NaN() // Naive aliases its inputs
+	var buf bytes.Buffer
+	if err := n.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	err := NewNaive().Load(&buf)
+	var nf *NonFiniteError
+	if !errors.As(err, &nf) || nf.Matrix != "items" || nf.Row != 6 || nf.Col != 2 {
+		t.Fatalf("Load: err = %v, want a *NonFiniteError at items[6][2]", err)
+	}
+}
+
+func TestValidateFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		users, items := randModel(rand.New(rand.NewSource(2)), 3, 4, 2)
+		items.Row(3)[1] = v
+		var nf *NonFiniteError
+		if err := ValidateInputs(users, items); !errors.As(err, &nf) || nf.Row != 3 || nf.Col != 1 {
+			t.Fatalf("ValidateInputs(%v): %v", v, err)
+		}
+		if err := ValidateAddItems(items, 2); !errors.As(err, &nf) || nf.Matrix != "items" {
+			t.Fatalf("ValidateAddItems(%v): %v", v, err)
+		}
+		if err := ValidateAddUsers(items, 2); !errors.As(err, &nf) || nf.Matrix != "users" {
+			t.Fatalf("ValidateAddUsers(%v): %v", v, err)
+		}
+	}
+	users, items := randModel(rand.New(rand.NewSource(2)), 3, 4, 2)
+	users.Row(0)[0] = math.MaxFloat64 // large but finite
+	if err := ValidateInputs(users, items); err != nil {
+		t.Fatalf("finite extremes rejected: %v", err)
 	}
 }

@@ -25,8 +25,8 @@ import (
 // mutations: relative id order never changes.
 //
 // Exactness semantics. After any interleaving of AddItems and RemoveItems,
-// Query/QueryAll — and QueryWithFloors for ThresholdQueriers — must return
-// results entry-for-entry identical (same items, same ranks, scores to within
+// Query/QueryAll/QueryCtx (under any floor source, per the floor contract)
+// must return results entry-for-entry identical (same items, same ranks, scores to within
 // kernel rounding) to a freshly Built solver over the mutated corpus: the
 // matrix obtained by applying the same appends and compactions to the Build
 // input (mat.AppendRows / mat.RemoveRows). VerifyMutation is the oracle for
@@ -72,9 +72,9 @@ type UserAdder interface {
 	AddUsers(users *mat.Matrix) ([]int, error)
 }
 
-// ValidateAddItems checks the AddItems argument shapes shared by all
-// implementations: a non-nil, non-empty matrix whose factor count matches
-// the corpus.
+// ValidateAddItems checks the AddItems arguments shared by all
+// implementations: a non-nil, non-empty, finite matrix whose factor count
+// matches the corpus.
 func ValidateAddItems(items *mat.Matrix, cols int) error {
 	if items == nil || items.Rows() == 0 {
 		return fmt.Errorf("mips: AddItems with no items")
@@ -82,12 +82,12 @@ func ValidateAddItems(items *mat.Matrix, cols int) error {
 	if items.Cols() != cols {
 		return fmt.Errorf("mips: new items have %d factors, corpus has %d", items.Cols(), cols)
 	}
-	return nil
+	return ValidateFinite("items", items)
 }
 
-// ValidateAddUsers checks the AddUsers argument shapes shared by all
-// implementations: a non-nil, non-empty matrix whose factor count matches
-// the user matrix.
+// ValidateAddUsers checks the AddUsers arguments shared by all
+// implementations: a non-nil, non-empty, finite matrix whose factor count
+// matches the user matrix.
 func ValidateAddUsers(users *mat.Matrix, cols int) error {
 	if users == nil || users.Rows() == 0 {
 		return fmt.Errorf("mips: AddUsers with no users")
@@ -95,7 +95,7 @@ func ValidateAddUsers(users *mat.Matrix, cols int) error {
 	if users.Cols() != cols {
 		return fmt.Errorf("mips: new users have %d factors, corpus has %d", users.Cols(), cols)
 	}
-	return nil
+	return ValidateFinite("users", users)
 }
 
 // ValidateRemoveIDs checks a RemoveItems id list against a corpus of

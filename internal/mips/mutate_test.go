@@ -8,17 +8,22 @@ package mips_test
 // solvers without an import cycle.)
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"optimus/internal/conetree"
 	"optimus/internal/core"
 	"optimus/internal/dataset"
+	"optimus/internal/faulty"
 	"optimus/internal/fexipro"
 	"optimus/internal/lemp"
 	"optimus/internal/mat"
 	"optimus/internal/mips"
+	"optimus/internal/topk"
 )
 
 // mutatorFactories is the full ItemMutator conformance matrix: the four
@@ -210,6 +215,150 @@ func TestAddUsersMatchesFreshBuild(t *testing.T) {
 			corpus = mat.RemoveRows(corpus, []int{0, corpus.Rows() - 2})
 			if err := mips.VerifyMutation(s, factory(), grown, corpus, k, 1e-9); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestQueryContract pins the one query contract every solver honors through
+// QueryCtx, bare and behind a fault wrapper with an empty plan: zero options
+// are Query entry for entry, static floors and a live board (without
+// concurrent raisers) both return the floor prefix of the unseeded answer,
+// and malformed options or a cancelled ctx fail instead of answering.
+func TestQueryContract(t *testing.T) {
+	m := conformanceModel(t, 0)
+	const k = 6
+	ids := mips.AllUserIDs(m.Users.Rows())
+	for name, factory := range mutatorFactories() {
+		for _, wrapped := range []bool{false, true} {
+			label := name
+			if wrapped {
+				label = "faulty/" + name
+			}
+			t.Run(label, func(t *testing.T) {
+				s := factory()
+				if wrapped {
+					s = faulty.Wrap(s, faulty.Plan{})
+				}
+				if err := s.Build(m.Users, m.Items); err != nil {
+					t.Fatal(err)
+				}
+				want, err := s.Query(ids, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A -Inf floor keeps every entry: the prefix check is equality.
+				if err := mips.VerifyFloorPrefix(want, got, floorsAt(len(ids), math.Inf(-1))); err != nil {
+					t.Fatalf("QueryCtx without options differs from Query: %v", err)
+				}
+
+				floors := make([]float64, len(ids))
+				for i, row := range want {
+					switch i % 4 {
+					case 0:
+						floors[i] = math.Inf(-1)
+					case 1:
+						floors[i] = row[k-1].Score // tie at the k-th
+					case 2:
+						floors[i] = row[k/2].Score
+					default:
+						floors[i] = row[0].Score
+					}
+				}
+				seeded, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := mips.VerifyFloorPrefix(want, seeded, floors); err != nil {
+					t.Fatalf("floors: %v", err)
+				}
+				board := topk.NewFloorBoard(len(ids))
+				board.Fill(floors)
+				live, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{Board: board})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := mips.VerifyFloorPrefix(want, live, board.Snapshot(nil)); err != nil {
+					t.Fatalf("board: %v", err)
+				}
+
+				if _, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors, Board: board}); err == nil {
+					t.Fatal("both floor sources accepted")
+				}
+				nan := floorsAt(len(ids), math.Inf(-1))
+				nan[1] = math.NaN()
+				if _, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: nan}); err == nil {
+					t.Fatal("NaN floor accepted")
+				}
+				if _, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors[:1]}); err == nil {
+					t.Fatal("floor/user length mismatch accepted")
+				}
+				if _, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{Board: topk.NewFloorBoard(1)}); err == nil {
+					t.Fatal("board/user length mismatch accepted")
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				if _, err := s.QueryCtx(ctx, ids, k, mips.QueryOptions{}); !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
+				}
+			})
+		}
+	}
+}
+
+func floorsAt(n int, v float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// TestNonFiniteInputsRejected: a NaN or ±Inf entry voids every pruning
+// bound, so Build, AddItems and AddUsers reject it with a
+// *mips.NonFiniteError and leave the solver untouched.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	m := conformanceModel(t, 0)
+	const k = 5
+	poison := func(src *mat.Matrix, row, col int, v float64) *mat.Matrix {
+		out := src.Clone()
+		out.Row(row)[col] = v
+		return out
+	}
+	wantNonFinite := func(t *testing.T, what string, err error, matrix string, row, col int) {
+		t.Helper()
+		var nf *mips.NonFiniteError
+		if !errors.As(err, &nf) {
+			t.Fatalf("%s: err = %v, want *mips.NonFiniteError", what, err)
+		}
+		if nf.Matrix != matrix || nf.Row != row || nf.Col != col {
+			t.Fatalf("%s: reported %s[%d][%d], want %s[%d][%d]", what, nf.Matrix, nf.Row, nf.Col, matrix, row, col)
+		}
+	}
+	for name, factory := range mutatorFactories() {
+		t.Run(name, func(t *testing.T) {
+			err := factory().Build(m.Users, poison(m.Items, 3, 1, math.NaN()))
+			wantNonFinite(t, "Build NaN item", err, "items", 3, 1)
+			err = factory().Build(poison(m.Users, 2, 0, math.Inf(1)), m.Items)
+			wantNonFinite(t, "Build +Inf user", err, "users", 2, 0)
+
+			s := factory()
+			if err := s.Build(m.Users, m.Items); err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.(mips.ItemMutator).AddItems(poison(m.Items.RowSlice(0, 2), 1, 2, math.Inf(-1)))
+			wantNonFinite(t, "AddItems -Inf", err, "items", 1, 2)
+			_, err = s.(mips.UserAdder).AddUsers(poison(m.Users.RowSlice(0, 2), 0, 3, math.NaN()))
+			wantNonFinite(t, "AddUsers NaN", err, "users", 0, 3)
+			if g := s.(mips.ItemMutator).Generation(); g != 0 {
+				t.Fatalf("generation advanced to %d on rejected input", g)
+			}
+			if err := mips.VerifyMutation(s, factory(), m.Users, m.Items, k, 1e-9); err != nil {
+				t.Fatalf("solver state disturbed by rejected input: %v", err)
 			}
 		})
 	}

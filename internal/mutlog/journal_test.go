@@ -3,6 +3,7 @@ package mutlog
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"optimus/internal/mat"
@@ -346,5 +347,31 @@ func TestReplayForeignJournal(t *testing.T) {
 	_, l2 := journaledNaive(t, bigUsers, smallItems, nil)
 	if _, err := Replay(bytes.NewReader(journal.Bytes()), 0, l2); err == nil {
 		t.Fatal("foreign journal replayed without error")
+	}
+}
+
+// TestAddRejectsNonFinite: a NaN or ±Inf row fails Add with a
+// *mips.NonFiniteError before anything reaches the journal or the log.
+func TestAddRejectsNonFinite(t *testing.T) {
+	users := journalMatrix(4, 3, 1)
+	items := journalMatrix(10, 3, 2)
+	var journal bytes.Buffer
+	_, l := journaledNaive(t, users, items, &journal)
+	before := journal.Len()
+	poisoned := journalMatrix(3, 3, 7)
+	poisoned.Row(2)[1] = math.Inf(1)
+	_, err := l.Add(poisoned)
+	var nf *mips.NonFiniteError
+	if !errors.As(err, &nf) || nf.Row != 2 || nf.Col != 1 {
+		t.Fatalf("Add: err = %v, want a *mips.NonFiniteError at row 2 col 1", err)
+	}
+	if journal.Len() != before {
+		t.Fatalf("journal grew by %d bytes on a rejected Add", journal.Len()-before)
+	}
+	if st := l.Stats(); st.PendingEvents != 0 {
+		t.Fatalf("rejected Add changed the log: %+v", st)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

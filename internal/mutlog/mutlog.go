@@ -271,10 +271,15 @@ func (d *direct) NumItems() int                                { return d.sized.
 // Add enqueues the given item vectors (rows are copied; the caller may reuse
 // the matrix) and returns one provisional Handle per row, in row order. The
 // items join the live index — receiving the contiguous ids the positional
-// contract assigns — at the next flush, unless cancelled first.
+// contract assigns — at the next flush, unless cancelled first. A NaN or
+// ±Inf entry rejects the whole call with a *mips.NonFiniteError before
+// anything is journaled.
 func (l *Log) Add(items *mat.Matrix) ([]Handle, error) {
 	if items == nil || items.Rows() == 0 {
 		return nil, fmt.Errorf("mutlog: Add with no items")
+	}
+	if err := mips.ValidateFinite("items", items); err != nil {
+		return nil, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

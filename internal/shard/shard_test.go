@@ -445,23 +445,18 @@ func TestValidatePartition(t *testing.T) {
 	}
 }
 
-// Static conformance: the composite and all four floor-capable sub-solvers
-// implement the threshold-propagation contracts.
+// Static conformance: the composite and the pruning sub-solvers meter the
+// scans threshold propagation saves.
 var (
-	_ mips.ThresholdQuerier = (*Sharded)(nil)
-	_ mips.ScanCounter      = (*Sharded)(nil)
-	_ mips.ThresholdQuerier = (*core.BMM)(nil)
-	_ mips.ThresholdQuerier = (*core.Maximus)(nil)
-	_ mips.ThresholdQuerier = (*lemp.Index)(nil)
-	_ mips.ThresholdQuerier = (*conetree.Index)(nil)
-	_ mips.ScanCounter      = (*core.BMM)(nil)
-	_ mips.ScanCounter      = (*core.Maximus)(nil)
-	_ mips.ScanCounter      = (*lemp.Index)(nil)
-	_ mips.ScanCounter      = (*conetree.Index)(nil)
+	_ mips.ScanCounter = (*Sharded)(nil)
+	_ mips.ScanCounter = (*core.BMM)(nil)
+	_ mips.ScanCounter = (*core.Maximus)(nil)
+	_ mips.ScanCounter = (*lemp.Index)(nil)
+	_ mips.ScanCounter = (*conetree.Index)(nil)
 )
 
 // TestTwoWaveMatchesSingleWave is the threshold-propagation invariant: for
-// every floor-capable sub-solver and shard count, the two-wave floor-seeded
+// every sub-solver and shard count, the two-wave floor-seeded
 // query over the by-norm partition returns entry-for-entry identical
 // results to the blind single-wave fan-out (and both match the exactness
 // oracle). Floors must never scan *more* than the blind path.
@@ -471,21 +466,18 @@ func TestTwoWaveMatchesSingleWave(t *testing.T) {
 	for _, mname := range models {
 		m := model(t, mname, 0.04)
 		for sub, factory := range factories() {
-			if sub == "Naive" {
-				continue // not floor-capable; covered by TestTwoWaveFallbacks
-			}
 			for _, shards := range []int{2, 3, 8} {
 				name := fmt.Sprintf("%s/%s/S=%d", mname, sub, shards)
 				t.Run(name, func(t *testing.T) {
 					blind := New(Config{
 						Shards: shards, Partitioner: ByNorm(),
-						Factory: factory, DisableFloorSeeding: true,
+						Factory: factory, Schedule: SingleWave,
 					})
 					if err := blind.Build(m.Users, m.Items); err != nil {
 						t.Fatal(err)
 					}
 					if blind.TwoWave() {
-						t.Fatal("DisableFloorSeeding must force single-wave")
+						t.Fatal("Schedule SingleWave must force single-wave")
 					}
 					want, err := blind.QueryAll(k)
 					if err != nil {
@@ -543,7 +535,7 @@ func TestTwoWavePrunesTailScans(t *testing.T) {
 		t.Run(sub, func(t *testing.T) {
 			blind := New(Config{
 				Shards: 4, Partitioner: ByNorm(),
-				Factory: factory, DisableFloorSeeding: true,
+				Factory: factory, Schedule: SingleWave,
 			})
 			if err := blind.Build(users, items); err != nil {
 				t.Fatal(err)
@@ -577,8 +569,8 @@ func TestTwoWavePrunesTailScans(t *testing.T) {
 }
 
 // TestTwoWaveFallbacks pins when threshold propagation must NOT engage:
-// single shard, non-head-first partitions, floor-blind sub-solvers, and the
-// explicit lesion switch — all staying exact on the single-wave path.
+// single shard, non-head-first partitions, and the explicit lesion switch —
+// all staying exact on the single-wave path.
 func TestTwoWaveFallbacks(t *testing.T) {
 	m := model(t, "netflix-nomad-10", 0.02)
 	const k = 3
@@ -590,9 +582,7 @@ func TestTwoWaveFallbacks(t *testing.T) {
 			Factory: func() mips.Solver { return core.NewBMM(core.BMMConfig{}) }}},
 		{"contiguous", Config{Shards: 3,
 			Factory: func() mips.Solver { return core.NewBMM(core.BMMConfig{}) }}},
-		{"naive-sub-solver", Config{Shards: 3, Partitioner: ByNorm(),
-			Factory: func() mips.Solver { return mips.NewNaive() }}},
-		{"disabled", Config{Shards: 3, Partitioner: ByNorm(), DisableFloorSeeding: true,
+		{"disabled", Config{Shards: 3, Partitioner: ByNorm(), Schedule: SingleWave,
 			Factory: func() mips.Solver { return core.NewBMM(core.BMMConfig{}) }}},
 	}
 	for _, tc := range cases {
@@ -615,8 +605,8 @@ func TestTwoWaveFallbacks(t *testing.T) {
 	}
 }
 
-// TestShardedQueryWithFloors covers the composite's own ThresholdQuerier:
-// caller floors must compose with the internal two-wave harvest (by-norm)
+// TestShardedQueryWithFloors covers the composite's own floor path
+// (QueryCtx with QueryOptions.Floors): caller floors must compose with the internal two-wave harvest (by-norm)
 // and forward on the single-wave path (contiguous), honoring the floor
 // contract against the unseeded composite.
 func TestShardedQueryWithFloors(t *testing.T) {
@@ -647,14 +637,14 @@ func TestShardedQueryWithFloors(t *testing.T) {
 					floors[i] = want[i][0].Score
 				}
 			}
-			got, err := sh.QueryWithFloors(ids, k, floors)
+			got, err := sh.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := mips.VerifyFloorPrefix(want, got, floors); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sh.QueryWithFloors(ids, k, floors[:1]); err == nil {
+			if _, err := sh.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors[:1]}); err == nil {
 				t.Fatal("floor/user length mismatch must fail")
 			}
 		})

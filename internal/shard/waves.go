@@ -1,12 +1,12 @@
 // Wave scheduling: the generalization of the two-wave query into pluggable
-// fan-out schedules (ISSUE 7). A schedule decides in what order the shards
+// fan-out schedules. A schedule decides in what order the shards
 // answer and how each shard's partial results tighten the floors of the
 // shards still to run:
 //
 //   - SingleWave: blind fan-out — every shard answers from a cold heap. The
 //     mandatory fallback whenever floor propagation is unavailable (S=1,
-//     non-head-first partitions, a floor-incapable tail, or
-//     Config.DisableFloorSeeding), and the lesion arm of the ablations.
+//     non-head-first partitions, a dead head or tail), and the lesion arm of
+//     the ablations.
 //   - TwoWave: the head shard answers alone; each user's k-th head score
 //     seeds every tail shard at once. Exactly the pre-schedule behavior —
 //     AutoSchedule resolves here whenever eligible.
@@ -17,10 +17,11 @@
 //     — strictly tighter than TwoWave's head-only floors, at the cost of
 //     serializing the waves. Fully deterministic: scan counters are
 //     reproducible run to run.
-//   - Pipelined: every shard starts at once. Shards whose sub-solver
-//     implements mips.LiveFloorQuerier start blind but poll a shared
-//     topk.FloorBoard at their pruning decision points, so a floor raised by
-//     an earlier-finishing shard re-seeds them in flight; each shard that
+//   - Pipelined: every shard starts at once. Shards start blind but poll a
+//     shared topk.FloorBoard (mips.QueryOptions.Board) at their pruning
+//     decision points, so a floor raised by an earlier-finishing shard
+//     re-seeds them in flight (BMM and Naive, which cannot poll, snapshot
+//     the board at entry, as does a transport client); each shard that
 //     completes with a full k rows raises the board with its per-user k-th
 //     score. Results are exact regardless of timing (every raise is a
 //     certified lower bound on the global k-th score), but scan counters are
@@ -413,11 +414,9 @@ func (s *Sharded) queryCascade(ctx context.Context, userIDs []int, k int, extFlo
 }
 
 // queryPipelined fans every shard out at once over one shared FloorBoard.
-// Live-floor sub-solvers poll the board at their pruning decision points and
-// so re-seed in flight; threshold-only sub-solvers get a static snapshot of
-// the board taken when their shard starts (a valid floor — the board only
-// ever holds certified lower bounds); unseedable sub-solvers run blind.
-// Every shard that returns k full rows raises the board with its per-user
+// Polling sub-solvers read the board at their pruning decision points and so
+// re-seed in flight; the others snapshot it when their shard starts (a valid
+// floor — the board only ever holds certified lower bounds). Every shard that returns k full rows raises the board with its per-user
 // k-th score for the shards still running. Exact at any interleaving;
 // scan counts are timing-dependent (see the package comment).
 func (s *Sharded) queryPipelined(ctx context.Context, userIDs []int, k int, extFloors []float64, sc *queryScratch, partial bool) error {

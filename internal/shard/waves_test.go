@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -41,7 +42,6 @@ func TestScheduleNames(t *testing.T) {
 func TestScheduleResolution(t *testing.T) {
 	m := model(t, "netflix-nomad-10", 0.02)
 	lempF := factories()["LEMP"]
-	naiveF := factories()["Naive"]
 	cases := []struct {
 		name string
 		cfg  Config
@@ -54,9 +54,6 @@ func TestScheduleResolution(t *testing.T) {
 		{"two-wave-explicit", Config{Shards: 3, Partitioner: ByNorm(), Factory: lempF, Schedule: TwoWave}, TwoWave},
 		{"single-explicit", Config{Shards: 3, Partitioner: ByNorm(), Factory: lempF, Schedule: SingleWave}, SingleWave},
 		{"cascade-contiguous", Config{Shards: 3, Factory: lempF, Schedule: Cascade}, SingleWave},
-		{"cascade-naive-tail", Config{Shards: 3, Partitioner: ByNorm(), Factory: naiveF, Schedule: Cascade}, SingleWave},
-		{"pipelined-disabled", Config{Shards: 3, Partitioner: ByNorm(), Factory: lempF,
-			Schedule: Pipelined, DisableFloorSeeding: true}, SingleWave},
 		{"cascade-S1", Config{Shards: 1, Partitioner: ByNorm(), Factory: lempF, Schedule: Cascade}, SingleWave},
 	}
 	for _, tc := range cases {
@@ -104,7 +101,7 @@ func TestScheduleResolution(t *testing.T) {
 }
 
 // TestSchedulesMatchSingleWave is the wave-scheduling equivalence matrix:
-// for every floor-capable sub-solver, shard count, and floor schedule, the
+// for every pruning sub-solver, shard count, and floor schedule, the
 // scheduled query over the by-norm partition returns entry-for-entry
 // identical results to the blind single-wave fan-out, and the composite's
 // own floored query honors the floor contract (VerifyFloorPrefix) under the
@@ -160,7 +157,7 @@ func TestSchedulesMatchSingleWave(t *testing.T) {
 					for u := range want {
 						assertSameEntries(t, u, want[u], got[u])
 					}
-					floored, err := sh.QueryWithFloors(ids, k, floors)
+					floored, err := sh.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -288,9 +285,8 @@ func TestCascadeCutsScansVsTwoWave(t *testing.T) {
 
 // stubSolver answers canned, shard-locally-ordered rows without allocating
 // after its first call of a given shape — isolating the composite
-// orchestration layer for the allocation regression test. It implements
-// ThresholdQuerier (floors ignored: a superset answer is always valid) so
-// the floor schedules engage.
+// orchestration layer for the allocation regression test. QueryCtx ignores
+// floors (a superset answer is always valid).
 type stubSolver struct {
 	items int
 	rows  [][]topk.Entry
@@ -328,7 +324,7 @@ func (s *stubSolver) QueryAll(k int) ([][]topk.Entry, error) {
 	return nil, fmt.Errorf("stub: QueryAll unused")
 }
 
-func (s *stubSolver) QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
+func (s *stubSolver) QueryCtx(_ context.Context, userIDs []int, k int, _ mips.QueryOptions) ([][]topk.Entry, error) {
 	return s.Query(userIDs, k)
 }
 
@@ -434,10 +430,6 @@ func (r *floorRecorder) Build(users, items *mat.Matrix) error {
 	r.builtWithFloors = r.floors != nil
 	r.mu.Unlock()
 	return r.Solver.Build(users, items)
-}
-
-func (r *floorRecorder) QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
-	return r.Solver.(mips.ThresholdQuerier).QueryWithFloors(userIDs, k, floors)
 }
 
 // TestObservedFloorFeedback pins the construction side of the loop: queries

@@ -35,7 +35,7 @@ func model(t testing.TB, name string, scale float64) *dataset.Model {
 }
 
 // factories is the sub-solver matrix the equivalence cells sweep — the four
-// floor-capable solvers, so every wave schedule stays eligible over the wire.
+// pruning solvers, whose scans every wave schedule changes.
 func factories() map[string]mips.Factory {
 	return map[string]mips.Factory{
 		"BMM":      func() mips.Solver { return core.NewBMM(core.BMMConfig{}) },
@@ -66,7 +66,7 @@ func assertSameEntries(t *testing.T, u int, want, got []topk.Entry) {
 }
 
 // TestLoopbackEquivalenceMatrix is the acceptance gate for the wire path:
-// for every floor-capable sub-solver, wave schedule, and shard count, a
+// for every pruning sub-solver, wave schedule, and shard count, a
 // Sharded whose workers live behind the loopback transport answers
 // entry-for-entry identically to a direct in-process Sharded — including the
 // composite floor contract (VerifyFloorPrefix) and post-mutation answers
@@ -136,7 +136,7 @@ func TestLoopbackEquivalenceMatrix(t *testing.T) {
 							floors[i] = got[i][0].Score
 						}
 					}
-					seeded, err := wired.QueryWithFloors(ids, k, floors)
+					seeded, err := wired.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -83,13 +83,14 @@ type Entry = topk.Entry
 // Build, then Query/QueryAll; implementations are read-only after Build).
 type Solver = mips.Solver
 
-// ThresholdQuerier is the optional Solver refinement for floor-seeded
-// queries: QueryWithFloors(userIDs, k, floors) prunes each user's search
-// against a caller-known lower bound on their global k-th score, returning
-// a prefix of the unseeded result (every entry at or above the floor,
-// identically ranked). BMM, MAXIMUS, LEMP, FEXIPRO, the cone tree, and
-// Sharded all implement it; the sharded two-wave query path is built on it.
-type ThresholdQuerier = mips.ThresholdQuerier
+// QueryOptions carries the optional floor source of a Solver.QueryCtx call:
+// static per-user Floors or a live Board of floors that only rise. A floor
+// is a caller-known lower bound on a user's global k-th score; the solver
+// prunes against it from the first candidate and returns a prefix of the
+// unseeded result (every entry at or above the floor, identically ranked,
+// ties at the floor retained). Every solver accepts both; the sharded wave
+// schedules are built on them.
+type QueryOptions = mips.QueryOptions
 
 // ItemMutator is the optional Solver refinement for mutable item corpora —
 // the build/mutate lifecycle. AddItems appends items (ids [n, n+m) are
@@ -249,12 +250,12 @@ type ShardedConfig = shard.Config
 // NewShardPlanner), fans queries out in parallel, and k-way merges the
 // partial top-Ks. Results are identical to the unsharded solver's.
 //
-// With the ShardByNorm partitioner and floor-capable sub-solvers (see
-// ThresholdQuerier), queries automatically run in two waves: the
-// largest-norm head shard answers first, each user's k-th head score seeds
-// the tail shards' thresholds, and norm-sorted tail shards prune most of
-// their scans — cross-shard threshold propagation. Set
-// ShardedConfig.DisableFloorSeeding to force the blind single-wave fan-out.
+// With the ShardByNorm partitioner, queries automatically run in two waves:
+// the largest-norm head shard answers first, each user's k-th head score
+// seeds the tail shards' thresholds (QueryOptions.Floors), and norm-sorted
+// tail shards prune most of their scans — cross-shard threshold
+// propagation. Set ShardedConfig.Schedule to ScheduleSingle to force the
+// blind single-wave fan-out.
 type Sharded = shard.Sharded
 
 // ShardPlan describes one shard's item count, chosen strategy, and build
@@ -317,13 +318,6 @@ func NewShardPlanner(cfg OptimusConfig, planK int, candidates ...SolverFactory) 
 	return shard.NewOptimusPlanner(cfg, planK, candidates...)
 }
 
-// CancellableQuerier is the optional Solver refinement for deadline-aware
-// queries: QueryCtx observes ctx between (and, for the sharded composite,
-// inside) per-shard calls and returns ctx.Err() promptly once it fires.
-// Results on the nil-error path are identical to Query's. Every shipped
-// solver implements it.
-type CancellableQuerier = mips.CancellableQuerier
-
 // Coverage reports which shards answered a degraded-mode query: Answered of
 // Shards responded, Skipped lists the quarantined or failed shard indexes,
 // and ItemsCovered counts the catalog items actually searched. A Complete
@@ -372,9 +366,9 @@ type ShardHealth = shard.ShardHealth
 // NewShardWorker, remote shards arrive through a ShardWorkerDialer.
 type ShardWorker = shard.Worker
 
-// ShardWorkerCaps declares which optional surfaces a worker supports; the
-// coordinator consults it instead of type-asserting, so capability loss
-// across a wire (e.g. no live floor boards) degrades schedules gracefully.
+// ShardWorkerCaps declares which optional surfaces (mutation, user
+// arrival, scan meters, snapshots) a worker supports; the coordinator
+// consults it instead of type-asserting, so the word survives a wire.
 type ShardWorkerCaps = shard.WorkerCaps
 
 // ShardWorkerDialer connects shard index i to its worker during Build/Load,
