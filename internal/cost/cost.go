@@ -29,8 +29,10 @@ func GemmFLOPs(m, n, f int) float64 {
 
 // Calibrate measures the sustained FLOP rate of the blas.GemmNT kernel with
 // a probe of the given shape, run `reps` times (first run warms the cache
-// and is discarded when reps > 1). Shapes comparable to the target workload
-// give the best predictions.
+// and is discarded when reps > 1). The rate comes from the fastest timed
+// run: on a shared machine preemption only ever adds time, so the minimum
+// is the estimate least disturbed by other load. Shapes comparable to the
+// target workload give the best predictions.
 func Calibrate(m, n, f, reps, threads int) (*Model, error) {
 	if m < 1 || n < 1 || f < 1 {
 		return nil, fmt.Errorf("cost: non-positive probe shape %dx%dx%d", m, n, f)
@@ -57,11 +59,13 @@ func Calibrate(m, n, f, reps, threads int) (*Model, error) {
 		run() // warm-up
 		reps--
 	}
-	var total time.Duration
-	for i := 0; i < reps; i++ {
-		total += run()
+	best := run()
+	for i := 1; i < reps; i++ {
+		if d := run(); d < best {
+			best = d
+		}
 	}
-	secs := total.Seconds() / float64(reps)
+	secs := best.Seconds()
 	if secs <= 0 {
 		return nil, fmt.Errorf("cost: calibration produced non-positive time")
 	}

@@ -43,12 +43,12 @@ func TestCalibrateAndPredict(t *testing.T) {
 // FLOP model predicts a same-regime GEMM within a modest relative error.
 // The paper reports 5% on MKL; a pure-Go kernel on a shared machine is
 // noisier, so the assertion is loose (50%) — the ablation-costmodel
-// experiment reports the actual figure.
+// experiment reports the actual figure. On a shared machine the GEMM rate
+// drifts over stretches of a few hundred milliseconds, so calibration and
+// measurement are interleaved round by round and each side keeps its
+// fastest round: both then see the same machine state, rather than one
+// side landing in a slow stretch the other missed.
 func TestModelAccuracyOnGemm(t *testing.T) {
-	model, err := Calibrate(512, 512, 64, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Target workload of a similar regime.
 	a := mat.New(768, 64)
 	b := mat.New(384, 64)
@@ -60,8 +60,16 @@ func TestModelAccuracyOnGemm(t *testing.T) {
 	}
 	c := mat.New(768, 384)
 	blas.GemmNT(a, b, c) // warm
+	var model *Model
 	best := time.Duration(1 << 62)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 10; i++ {
+		m, err := Calibrate(512, 512, 64, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if model == nil || m.FlopsPerSecond > model.FlopsPerSecond {
+			model = m
+		}
 		t0 := time.Now()
 		blas.GemmNT(a, b, c)
 		if d := time.Since(t0); d < best {
