@@ -467,11 +467,8 @@ func BenchmarkChurn(b *testing.B) {
 				}
 				var log *mutlog.Log
 				if F := flushEvery[mode]; F > 0 {
-					applier, err := mutlog.Direct(s)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if log, err = mutlog.New(applier, mutlog.Config{MaxEvents: -1, MaxDelay: -1}); err != nil {
+					var err error
+					if log, err = mutlog.New(mutlog.Direct(s), mutlog.Config{MaxEvents: -1, MaxDelay: -1}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -675,7 +672,7 @@ func BenchmarkColdStart(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("scale=%.2f/%s/load", scale, solver), func(b *testing.B) {
 				solver := solver
-				src := benchSolver(solver).(Persister)
+				src := benchSolver(solver)
 				if err := src.(mips.Solver).Build(m.Users, m.Items); err != nil {
 					b.Fatal(err)
 				}
@@ -693,7 +690,7 @@ func BenchmarkColdStart(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					dst := benchSolver(solver).(Persister)
+					dst := benchSolver(solver)
 					if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
 						b.Fatal(err)
 					}

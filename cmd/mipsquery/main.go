@@ -321,17 +321,7 @@ func retuneIndex(s mips.Solver) error {
 
 // allUsers enumerates every built user id — the batch the flag-driven query
 // paths answer (QueryAll without the flags).
-func allUsers(s mips.Solver) []int {
-	n := 0
-	if sz, ok := s.(mips.Sized); ok {
-		n = sz.NumUsers()
-	}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
+func allUsers(s mips.Solver) []int { return mips.AllUserIDs(s.NumUsers()) }
 
 func newSolver(name string, threads int, seed int64) (mips.Solver, error) {
 	switch strings.ToLower(name) {
@@ -391,23 +381,17 @@ func loadSnapshot(path string, threads int, dialer shard.WorkerDialer) (mips.Sol
 	if !ok {
 		return nil, fmt.Errorf("snapshot %s holds a %T, not a solver", path, ls)
 	}
-	if ts, ok := s.(mips.ThreadSetter); ok {
-		ts.SetThreads(threads)
-	}
+	s.SetThreads(threads)
 	return s, nil
 }
 
 func saveSnapshot(path string, s mips.Solver) error {
-	p, ok := s.(mips.Persister)
-	if !ok {
-		return fmt.Errorf("solver %s does not support snapshots", s.Name())
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriter(f)
-	if err := p.Save(w); err != nil {
+	if err := s.Save(w); err != nil {
 		f.Close()
 		return err
 	}

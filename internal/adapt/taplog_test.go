@@ -27,10 +27,7 @@ func TestTapLogKicksOnSizeFlush(t *testing.T) {
 	if err := solver.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
-	applier, err := mutlog.Direct(solver)
-	if err != nil {
-		t.Fatal(err)
-	}
+	applier := mutlog.Direct(solver)
 	log, err := mutlog.New(applier, mutlog.Config{MaxEvents: 2, MaxDelay: -1})
 	if err != nil {
 		t.Fatal(err)

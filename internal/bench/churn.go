@@ -161,11 +161,8 @@ func (r *Runner) churnBatched(users, items, pool *mat.Matrix, batch int) error {
 		}
 		var log *mutlog.Log
 		if F > 0 {
-			applier, err := mutlog.Direct(sh)
-			if err != nil {
-				return err
-			}
-			if log, err = mutlog.New(applier, mutlog.Config{MaxEvents: -1, MaxDelay: -1}); err != nil {
+			var err error
+			if log, err = mutlog.New(mutlog.Direct(sh), mutlog.Config{MaxEvents: -1, MaxDelay: -1}); err != nil {
 				return err
 			}
 		}

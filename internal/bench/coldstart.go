@@ -70,25 +70,20 @@ func (r *Runner) coldstartOne(name string, built, fresh mips.Solver, m *dataset.
 	}
 	build := time.Since(t0)
 
-	p, ok := built.(mips.Persister)
-	if !ok {
-		return fmt.Errorf("%s does not implement Persister", name)
-	}
 	var buf bytes.Buffer
 	t1 := time.Now()
-	if err := p.Save(&buf); err != nil {
+	if err := built.Save(&buf); err != nil {
 		return err
 	}
 	save := time.Since(t1)
 	var buf2 bytes.Buffer
-	if err := p.Save(&buf2); err != nil {
+	if err := built.Save(&buf2); err != nil {
 		return err
 	}
 	deterministic := bytes.Equal(buf.Bytes(), buf2.Bytes())
 
-	fp := fresh.(mips.Persister)
 	t2 := time.Now()
-	if err := fp.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := fresh.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		return err
 	}
 	load := time.Since(t2)

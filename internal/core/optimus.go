@@ -35,10 +35,10 @@ type OptimusConfig struct {
 	Seed int64
 	// Threads is the parallelism of the whole run; 0 (the zero value)
 	// defers to the package-wide parallel.Threads() default, normally all
-	// cores. Every candidate solver that implements mips.ThreadSetter is
-	// aligned to this value before measurement, so strategies are measured
-	// at the same parallelism they would run at — extrapolating a serial
-	// sample to a parallel final pass would bias the crossover decision.
+	// cores. Every candidate solver is aligned to this value (SetThreads)
+	// before measurement, so strategies are measured at the same
+	// parallelism they would run at — extrapolating a serial sample to a
+	// parallel final pass would bias the crossover decision.
 	Threads int
 }
 
@@ -301,9 +301,7 @@ func (o *Optimus) measure(users, items *mat.Matrix, k int, shared *SharedMeasure
 	// starts: the sampled measurements are extrapolated to the full batch,
 	// so they must be taken at the thread count the final pass will use.
 	for _, s := range append([]mips.Solver{o.bmm}, o.indexes...) {
-		if ts, ok := s.(mips.ThreadSetter); ok {
-			ts.SetThreads(o.cfg.Threads)
-		}
+		s.SetThreads(o.cfg.Threads)
 	}
 
 	if err := o.bmm.Build(users, items); err != nil {

@@ -5,9 +5,9 @@
 // serving deadline tests, and the chaos soak — which need failures that are
 // reproducible call-for-call under -race and across runs.
 //
-// The wrapper forwards every optional solver interface the repository's
-// composites probe for. Mutation and persistence calls on an incapable inner
-// return errors, mirroring how the composites treat missing interfaces.
+// The wrapper implements the whole mips.Solver contract by forwarding to the
+// inner solver, plus the optional scan meter and floor-aware estimator,
+// which are no-ops when the inner solver lacks them.
 //
 // Snapshots pass through to the inner solver, so a snapshot Saved through a
 // wrapper restores as the bare inner solver — a revived shard sheds its
@@ -266,13 +266,9 @@ func (s *Solver) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.Q
 // AddItems implements mips.ItemMutator. KindTorn applies the mutation and
 // then reports failure — the shard layer's repair path must reconcile.
 func (s *Solver) AddItems(items *mat.Matrix) ([]int, error) {
-	im, ok := s.inner.(mips.ItemMutator)
-	if !ok {
-		return nil, fmt.Errorf("faulty: inner %s is not an ItemMutator", s.inner.Name())
-	}
 	f := s.next(OpMutate)
 	if f != nil && f.Kind == KindTorn {
-		if ids, err := im.AddItems(items); err != nil {
+		if ids, err := s.inner.AddItems(items); err != nil {
 			return ids, err
 		}
 		return nil, f.Err
@@ -280,18 +276,14 @@ func (s *Solver) AddItems(items *mat.Matrix) ([]int, error) {
 	if err := s.inject(nil, f); err != nil {
 		return nil, err
 	}
-	return im.AddItems(items)
+	return s.inner.AddItems(items)
 }
 
 // RemoveItems implements mips.ItemMutator.
 func (s *Solver) RemoveItems(ids []int) error {
-	im, ok := s.inner.(mips.ItemMutator)
-	if !ok {
-		return fmt.Errorf("faulty: inner %s is not an ItemMutator", s.inner.Name())
-	}
 	f := s.next(OpMutate)
 	if f != nil && f.Kind == KindTorn {
-		if err := im.RemoveItems(ids); err != nil {
+		if err := s.inner.RemoveItems(ids); err != nil {
 			return err
 		}
 		return f.Err
@@ -299,27 +291,18 @@ func (s *Solver) RemoveItems(ids []int) error {
 	if err := s.inject(nil, f); err != nil {
 		return err
 	}
-	return im.RemoveItems(ids)
+	return s.inner.RemoveItems(ids)
 }
 
-// Generation implements mips.ItemMutator (0 when the inner cannot mutate —
-// never reached through the composites, which gate on the interface).
-func (s *Solver) Generation() uint64 {
-	if im, ok := s.inner.(mips.ItemMutator); ok {
-		return im.Generation()
-	}
-	return 0
-}
+// Generation implements mips.ItemMutator: the inner solver's stamp, with no
+// fault injected.
+func (s *Solver) Generation() uint64 { return s.inner.Generation() }
 
 // AddUsers implements mips.UserAdder.
 func (s *Solver) AddUsers(users *mat.Matrix) ([]int, error) {
-	ua, ok := s.inner.(mips.UserAdder)
-	if !ok {
-		return nil, fmt.Errorf("faulty: inner %s is not a UserAdder", s.inner.Name())
-	}
 	f := s.next(OpMutate)
 	if f != nil && f.Kind == KindTorn {
-		if ids, err := ua.AddUsers(users); err != nil {
+		if ids, err := s.inner.AddUsers(users); err != nil {
 			return ids, err
 		}
 		return nil, f.Err
@@ -327,7 +310,7 @@ func (s *Solver) AddUsers(users *mat.Matrix) ([]int, error) {
 	if err := s.inject(nil, f); err != nil {
 		return nil, err
 	}
-	return ua.AddUsers(users)
+	return s.inner.AddUsers(users)
 }
 
 // --- persistence ---
@@ -335,53 +318,30 @@ func (s *Solver) AddUsers(users *mat.Matrix) ([]int, error) {
 // Save implements mips.Persister. The stream written is the INNER solver's
 // snapshot (see the package comment: revival sheds the wrapper).
 func (s *Solver) Save(w io.Writer) error {
-	p, ok := s.inner.(mips.Persister)
-	if !ok {
-		return fmt.Errorf("faulty: inner %s is not a Persister", s.inner.Name())
-	}
 	if err := s.inject(nil, s.next(OpPersist)); err != nil {
 		return err
 	}
-	return p.Save(w)
+	return s.inner.Save(w)
 }
 
 // Load implements mips.Persister.
 func (s *Solver) Load(r io.Reader) error {
-	p, ok := s.inner.(mips.Persister)
-	if !ok {
-		return fmt.Errorf("faulty: inner %s is not a Persister", s.inner.Name())
-	}
 	if err := s.inject(nil, s.next(OpPersist)); err != nil {
 		return err
 	}
-	return p.Load(r)
+	return s.inner.Load(r)
 }
 
-// --- passthrough capabilities ---
+// --- passthrough ---
 
-// NumUsers implements mips.Sized (0 before Build or when the inner cannot
-// report sizes).
-func (s *Solver) NumUsers() int {
-	if sz, ok := s.inner.(mips.Sized); ok {
-		return sz.NumUsers()
-	}
-	return 0
-}
+// NumUsers implements mips.Sized (0 before Build).
+func (s *Solver) NumUsers() int { return s.inner.NumUsers() }
 
 // NumItems implements mips.Sized.
-func (s *Solver) NumItems() int {
-	if sz, ok := s.inner.(mips.Sized); ok {
-		return sz.NumItems()
-	}
-	return 0
-}
+func (s *Solver) NumItems() int { return s.inner.NumItems() }
 
 // SetThreads implements mips.ThreadSetter.
-func (s *Solver) SetThreads(n int) {
-	if ts, ok := s.inner.(mips.ThreadSetter); ok {
-		ts.SetThreads(n)
-	}
-}
+func (s *Solver) SetThreads(n int) { s.inner.SetThreads(n) }
 
 // SetEstimationFloors implements mips.FloorAwareEstimator.
 func (s *Solver) SetEstimationFloors(floors []float64) {
@@ -408,11 +368,6 @@ func (s *Solver) ResetScanStats() {
 // Interface conformance.
 var (
 	_ mips.Solver              = (*Solver)(nil)
-	_ mips.ItemMutator         = (*Solver)(nil)
-	_ mips.UserAdder           = (*Solver)(nil)
-	_ mips.Persister           = (*Solver)(nil)
-	_ mips.Sized               = (*Solver)(nil)
-	_ mips.ThreadSetter        = (*Solver)(nil)
 	_ mips.FloorAwareEstimator = (*Solver)(nil)
 	_ mips.ScanCounter         = (*Solver)(nil)
 )

@@ -14,9 +14,23 @@ import (
 
 // Solver is an exact batch top-K MIPS solver. The lifecycle is
 // Build (construct index structures over fixed user/item matrices) followed
-// by any number of Query/QueryAll/QueryCtx calls. Implementations are
-// read-only after Build and safe for concurrent queries.
+// by any number of Query/QueryAll/QueryCtx calls. Queries are safe for
+// concurrent use; Build, Load, item mutation and user arrival must be
+// serialized against in-flight queries by the caller.
+//
+// Every solver implements the whole contract, so OPTIMUS and the composite
+// layers can swap one for another at run time: sizes (Sized), query
+// parallelism (ThreadSetter), item mutation (ItemMutator), user arrival
+// (UserAdder) and snapshots (Persister) are method groups of Solver, not
+// capabilities to probe for. ScanCounter, FloorAwareEstimator and
+// PartialQuerier stay optional.
 type Solver interface {
+	Sized
+	ThreadSetter
+	ItemMutator
+	UserAdder
+	Persister
+
 	// Name identifies the solver in reports ("BMM", "MAXIMUS", "LEMP", ...).
 	Name() string
 
@@ -64,12 +78,11 @@ type Solver interface {
 // different item subset); returning a shared instance is a caller bug.
 type Factory func() Solver
 
-// Sized is the optional interface for solvers that can report the corpus
-// dimensions they were built over. Front ends use it to validate request
-// parameters without a solver round-trip — internal/serving triages a
-// poisoned batch this way, isolating the bad requests in O(1) extra solver
-// calls instead of re-querying the whole batch serially. Both methods
-// return 0 before Build.
+// Sized is the Solver method group reporting the corpus dimensions a solver
+// was built over. Front ends use it to validate request parameters without
+// a solver round-trip — internal/serving triages a poisoned batch this way,
+// isolating the bad requests in O(1) extra solver calls instead of
+// re-querying the whole batch serially. Both methods return 0 before Build.
 type Sized interface {
 	// NumUsers returns the number of user rows the solver was built over.
 	NumUsers() int
@@ -119,12 +132,12 @@ type ScanCounter interface {
 	ResetScanStats()
 }
 
-// ThreadSetter is the optional interface for solvers whose query parallelism
-// can be adjusted after construction (n <= 0 selects the package-wide
-// default from internal/parallel). The OPTIMUS optimizer uses it to align
-// every candidate to the parallelism the final pass will run at, so the
-// sampled measurements extrapolate to the machine that executes the winner
-// rather than to a single core.
+// ThreadSetter is the Solver method group adjusting query parallelism after
+// construction (n <= 0 selects the package-wide default from
+// internal/parallel). The OPTIMUS optimizer uses it to align every candidate
+// to the parallelism the final pass will run at, so the sampled measurements
+// extrapolate to the machine that executes the winner rather than to a
+// single core. Solvers that run on the calling goroutine (Naive) ignore it.
 type ThreadSetter interface {
 	SetThreads(n int)
 }
@@ -205,6 +218,10 @@ func (n *Naive) Name() string { return "Naive" }
 
 // Batches implements Solver; the naive loop shares no work across users.
 func (n *Naive) Batches() bool { return false }
+
+// SetThreads implements ThreadSetter as a no-op: the naive loop runs on the
+// calling goroutine.
+func (n *Naive) SetThreads(int) {}
 
 // NumUsers implements Sized.
 func (n *Naive) NumUsers() int {

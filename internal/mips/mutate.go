@@ -7,7 +7,7 @@ import (
 	"optimus/internal/mat"
 )
 
-// ItemMutator is the optional Solver refinement for mutable item corpora —
+// ItemMutator is the Solver method group for mutable item corpora —
 // the build/mutate lifecycle that real recommender catalogs need (items churn
 // continuously; the paper's §III-E dynamic-arrival sketch covers users only).
 // A mutator keeps serving exact answers while its catalog changes, patching
@@ -43,9 +43,9 @@ import (
 // corpus, whose positional ids are what a generation change invalidates;
 // user arrival never renumbers anything). Serving layers expose it so
 // clients can detect when cached id translations or results predate a
-// catalog swap. All seven implementations (the five solvers, Naive, and
-// the sharded composite) are held to these exact semantics by the
-// cross-solver contract test at the repository root.
+// catalog swap. Every implementation (the five solvers, Naive, the sharded
+// composite and the fault-injecting wrapper) is held to these exact
+// semantics by the cross-solver contract tests.
 //
 // Mutators are NOT safe for concurrent use with queries: callers serialize
 // mutation against in-flight queries (the serving layer's single-writer/
@@ -60,14 +60,14 @@ type ItemMutator interface {
 	Generation() uint64
 }
 
-// UserAdder is the optional Solver refinement for dynamic user arrival — the
+// UserAdder is the Solver method group for dynamic user arrival — the
 // §III-E path core.Maximus.AddUsers implements (assign to nearest centroid,
 // widen θb where needed). New users receive ids [n, n+m) in input-row order;
 // queries for old and new users remain exact. Unlike ItemMutator, user
-// arrival never invalidates item-side index structures, so every solver in
-// the repository supports it. AddUsers does not advance Generation (the
-// stamp tracks the item corpus). Like item mutation, AddUsers must be
-// serialized against in-flight queries by the caller.
+// arrival never invalidates item-side index structures. AddUsers does not
+// advance Generation (the stamp tracks the item corpus). Like item
+// mutation, AddUsers must be serialized against in-flight queries by the
+// caller.
 type UserAdder interface {
 	AddUsers(users *mat.Matrix) ([]int, error)
 }
@@ -143,16 +143,13 @@ func RemovedBefore(sortedRemoved []int, id int) int {
 //     same ranks, scores within tol absolute+relative — the ItemMutator
 //     exactness contract,
 //
-// plus, when the mutated solver reports sizes (Sized), that its corpus
-// dimensions match the expected matrices.
+// plus that the mutated solver's reported sizes match the expected matrices.
 func VerifyMutation(mutated, fresh Solver, users, items *mat.Matrix, k int, tol float64) error {
-	if sized, ok := mutated.(Sized); ok {
-		if got, want := sized.NumItems(), items.Rows(); got != want {
-			return fmt.Errorf("mips: mutated %s reports %d items, corpus has %d", mutated.Name(), got, want)
-		}
-		if got, want := sized.NumUsers(), users.Rows(); got != want {
-			return fmt.Errorf("mips: mutated %s reports %d users, corpus has %d", mutated.Name(), got, want)
-		}
+	if got, want := mutated.NumItems(), items.Rows(); got != want {
+		return fmt.Errorf("mips: mutated %s reports %d items, corpus has %d", mutated.Name(), got, want)
+	}
+	if got, want := mutated.NumUsers(), users.Rows(); got != want {
+		return fmt.Errorf("mips: mutated %s reports %d users, corpus has %d", mutated.Name(), got, want)
 	}
 	got, err := mutated.QueryAll(k)
 	if err != nil {
@@ -244,8 +241,5 @@ func (n *Naive) AddUsers(users *mat.Matrix) ([]int, error) {
 	return IDRange(base, users.Rows()), nil
 }
 
-// ensure the reference solver satisfies the contracts it specifies.
-var (
-	_ ItemMutator = (*Naive)(nil)
-	_ UserAdder   = (*Naive)(nil)
-)
+// ensure the reference solver satisfies the contract it specifies.
+var _ Solver = (*Naive)(nil)

@@ -23,12 +23,14 @@ import (
 	"optimus/internal/lemp"
 	"optimus/internal/mat"
 	"optimus/internal/mips"
+	"optimus/internal/shard"
 	"optimus/internal/topk"
 )
 
-// mutatorFactories is the full ItemMutator conformance matrix: the four
-// incremental patchers, the FEXIPRO rebuild fallback, and the trivial Naive
-// reference.
+// mutatorFactories is the full Solver conformance matrix, one entry per
+// implementation: the four incremental patchers, the FEXIPRO rebuild
+// fallback, the trivial Naive reference, the item-sharded composite, and
+// the fault-injecting wrapper with an empty plan.
 func mutatorFactories() map[string]mips.Factory {
 	return map[string]mips.Factory{
 		"BMM":        func() mips.Solver { return core.NewBMM(core.BMMConfig{}) },
@@ -37,6 +39,54 @@ func mutatorFactories() map[string]mips.Factory {
 		"ConeTree":   func() mips.Solver { return conetree.New(conetree.Config{}) },
 		"FEXIPRO-SI": func() mips.Solver { return fexipro.New(fexipro.Config{}) },
 		"Naive":      func() mips.Solver { return mips.NewNaive() },
+		"Sharded": func() mips.Solver {
+			return shard.New(shard.Config{
+				Shards:      3,
+				Partitioner: shard.ByNorm(),
+				Factory:     func() mips.Solver { return lemp.New(lemp.Config{Seed: 3}) },
+			})
+		},
+		"Faulty(MAXIMUS)": func() mips.Solver {
+			return faulty.Wrap(core.NewMaximus(core.MaximusConfig{Seed: 3}), faulty.Plan{})
+		},
+	}
+}
+
+// TestSolverSurfaceBeforeBuild pins the mandatory part of the contract every
+// implementation carries: before Build the sizes and generation are zero,
+// SetThreads is safe, and mutation and user arrival fail instead of
+// panicking; after Build the sizes match the matrices.
+func TestSolverSurfaceBeforeBuild(t *testing.T) {
+	m := conformanceModel(t, 0)
+	for name, factory := range mutatorFactories() {
+		t.Run(name, func(t *testing.T) {
+			s := factory()
+			if u, i := s.NumUsers(), s.NumItems(); u != 0 || i != 0 {
+				t.Fatalf("sizes before Build = (%d users, %d items), want 0", u, i)
+			}
+			if g := s.Generation(); g != 0 {
+				t.Fatalf("generation before Build = %d, want 0", g)
+			}
+			s.SetThreads(2)
+			if _, err := s.AddItems(m.Items.RowSlice(0, 2)); err == nil {
+				t.Fatal("AddItems before Build succeeded")
+			}
+			if _, err := s.AddUsers(m.Users.RowSlice(0, 2)); err == nil {
+				t.Fatal("AddUsers before Build succeeded")
+			}
+			if err := s.RemoveItems([]int{0}); err == nil {
+				t.Fatal("RemoveItems before Build succeeded")
+			}
+			if err := s.Build(m.Users, m.Items); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := s.NumUsers(), m.Users.Rows(); got != want {
+				t.Fatalf("NumUsers after Build = %d, want %d", got, want)
+			}
+			if got, want := s.NumItems(), m.Items.Rows(); got != want {
+				t.Fatalf("NumItems after Build = %d, want %d", got, want)
+			}
+		})
 	}
 }
 

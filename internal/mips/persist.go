@@ -8,7 +8,7 @@ import (
 	"optimus/internal/persist"
 )
 
-// Persister is the optional Solver interface for versioned snapshots. Save
+// Persister is the Solver method group for versioned snapshots. Save
 // serializes the built index — structure, tunings, and Generation stamp —
 // through the internal/persist framing (magic "OSNP", format version,
 // per-section CRC-32). Load restores an equivalent solver into the
@@ -23,25 +23,18 @@ import (
 // version-skewed streams return errors — never a panic, never a solver that
 // silently answers from bad state.
 //
-// All repository solvers implement Persister and register a snapshot kind
-// with internal/persist, so persist.LoadAny (or the root facade's
-// LoadSolver) can reconstruct a solver from a stream alone.
-type Persister interface {
-	Save(w io.Writer) error
-	Load(r io.Reader) error
-}
+// Every solver registers a snapshot kind with internal/persist, so
+// persist.LoadAny (or the root facade's LoadSolver) can reconstruct a solver
+// from a stream alone. The method set is persist.LoadSaver's, declared there
+// so persist stays import-free of the solver layers.
+type Persister = persist.LoadSaver
 
 // SnapshotBytes serializes a solver's snapshot into a fresh byte slice — the
 // shard-shipping helper: the returned bytes are the solver's self-describing
 // persist stream, reconstructible by persist.LoadAny on any side of a wire.
-// Fails when the solver does not implement Persister.
 func SnapshotBytes(s Solver) ([]byte, error) {
-	p, ok := s.(Persister)
-	if !ok {
-		return nil, fmt.Errorf("mips: %s does not implement Save", s.Name())
-	}
 	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
+	if err := s.Save(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

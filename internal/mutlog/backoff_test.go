@@ -45,10 +45,7 @@ func (a *flakyApplier) NumItems() int { return a.inner.NumItems() }
 // flush applies the still-pending events and clears the error.
 func TestFlusherBackoffNoHotLoop(t *testing.T) {
 	idx := newFakeIndex(4, 3)
-	direct, err := mutlog.Direct(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := mutlog.Direct(idx)
 	ap := &flakyApplier{inner: direct, fail: true}
 	log, err := mutlog.New(ap, mutlog.Config{MaxEvents: -1, MaxDelay: time.Millisecond})
 	if err != nil {

@@ -31,10 +31,7 @@ func journaledNaive(t *testing.T, users, items *mat.Matrix, w *bytes.Buffer) (*m
 	if err := n.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
-	applier, err := Direct(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	applier := Direct(n)
 	cfg := Config{MaxEvents: -1, MaxDelay: -1}
 	if w != nil {
 		cfg.Journal = w
@@ -238,10 +235,7 @@ func TestWriteAheadRejectsEnqueueOnJournalFailure(t *testing.T) {
 	if err := n.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
-	applier, err := Direct(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	applier := Direct(n)
 	l, err := New(applier, Config{MaxEvents: -1, MaxDelay: -1, Journal: &failWriter{n: 0}})
 	if err != nil {
 		t.Fatal(err)

@@ -247,26 +247,16 @@ func New(applier Applier, cfg Config) (*Log, error) {
 	return l, nil
 }
 
-// Direct adapts a bare mutator into an Applier for using the log without a
-// serving layer (benchmarks, offline pipelines). The mutator must report its
-// corpus size (mips.Sized — every solver in the repository does). The
-// adapter provides no query serialization; as with any bare mutator, the
-// caller keeps flushes exclusive of in-flight queries.
-func Direct(m mips.ItemMutator) (Applier, error) {
-	s, ok := m.(mips.Sized)
-	if !ok {
-		return nil, fmt.Errorf("mutlog: %T does not report its corpus size (mips.Sized)", m)
-	}
-	return &direct{mut: m, sized: s}, nil
-}
+// Direct adapts a bare solver into an Applier for using the log without a
+// serving layer (benchmarks, offline pipelines). The adapter provides no
+// query serialization; as with any bare mutator, the caller keeps flushes
+// exclusive of in-flight queries.
+func Direct(s mips.Solver) Applier { return direct{s} }
 
-type direct struct {
-	mut   mips.ItemMutator
-	sized mips.Sized
-}
+type direct struct{ s mips.Solver }
 
-func (d *direct) Mutate(fn func(mips.ItemMutator) error) error { return fn(d.mut) }
-func (d *direct) NumItems() int                                { return d.sized.NumItems() }
+func (d direct) Mutate(fn func(mips.ItemMutator) error) error { return fn(d.s) }
+func (d direct) NumItems() int                                { return d.s.NumItems() }
 
 // Add enqueues the given item vectors (rows are copied; the caller may reuse
 // the matrix) and returns one provisional Handle per row, in row order. The

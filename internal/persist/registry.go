@@ -9,10 +9,10 @@ import (
 	"sync"
 )
 
-// LoadSaver is the structural snapshot contract solver packages implement;
-// it is the same method set as mips.Persister, declared here so persist
-// stays import-free of the solver layers (solver packages import persist,
-// never the reverse).
+// LoadSaver is the structural snapshot contract solver packages implement
+// (mips.Persister is an alias of it). It is declared here so persist stays
+// import-free of the solver layers (solver packages import persist, never
+// the reverse).
 type LoadSaver interface {
 	Save(w io.Writer) error
 	Load(r io.Reader) error

@@ -143,27 +143,6 @@ func TestServerLogCoalesces(t *testing.T) {
 	}
 }
 
-// TestServerLogRequiresMutableSized: the log needs a mutable, size-reporting
-// solver.
-func TestServerLogRequiresMutableSized(t *testing.T) {
-	solver := &staticSolver{inner: mips.NewNaive()}
-	users, items := randMatrix(31, 10, 4), randMatrix(32, 20, 4)
-	if err := solver.Build(users, items); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(solver, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if srv.NumItems() != -1 {
-		t.Fatalf("NumItems on an un-Sized solver = %d, want -1", srv.NumItems())
-	}
-	if _, err := srv.Log(manualLog); !errors.Is(err, ErrNotMutable) {
-		t.Fatalf("Log on a non-mutable solver: %v, want ErrNotMutable", err)
-	}
-}
-
 // TestServerCloseFlushesLog: pending events survive Close (the final flush
 // runs against the drained solver).
 func TestServerCloseFlushesLog(t *testing.T) {

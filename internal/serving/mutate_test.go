@@ -2,7 +2,6 @@ package serving
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -12,7 +11,6 @@ import (
 
 	"optimus/internal/mat"
 	"optimus/internal/mips"
-	"optimus/internal/topk"
 )
 
 // randMatrix returns a deterministic n×f standard-normal matrix.
@@ -23,42 +21,6 @@ func randMatrix(seed int64, n, f int) *mat.Matrix {
 		m.Data()[i] = rng.NormFloat64()
 	}
 	return m
-}
-
-func TestMutateRequiresMutableSolver(t *testing.T) {
-	// A facade that deliberately is NOT an ItemMutator.
-	solver := &staticSolver{inner: mips.NewNaive()}
-	users, items := randMatrix(1, 10, 4), randMatrix(2, 20, 4)
-	if err := solver.Build(users, items); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(solver, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	err = srv.Mutate(func(mips.ItemMutator) error { return nil })
-	if !errors.Is(err, ErrNotMutable) {
-		t.Fatalf("Mutate on a non-mutable solver: %v, want ErrNotMutable", err)
-	}
-	if g := srv.Stats().Generation; g != 0 {
-		t.Fatalf("generation advanced to %d without a mutation", g)
-	}
-}
-
-// staticSolver hides Naive's mutation methods behind a plain Solver facade
-// (explicit forwarding, not embedding — promotion would leak the mutator).
-type staticSolver struct{ inner *mips.Naive }
-
-func (s *staticSolver) Name() string                 { return "static" }
-func (s *staticSolver) Batches() bool                { return false }
-func (s *staticSolver) Build(u, i *mat.Matrix) error { return s.inner.Build(u, i) }
-func (s *staticSolver) Query(ids []int, k int) ([][]topk.Entry, error) {
-	return s.inner.Query(ids, k)
-}
-func (s *staticSolver) QueryAll(k int) ([][]topk.Entry, error) { return s.inner.QueryAll(k) }
-func (s *staticSolver) QueryCtx(ctx context.Context, ids []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
-	return s.inner.QueryCtx(ctx, ids, k, opts)
 }
 
 func TestMutateSwapsGenerations(t *testing.T) {

@@ -17,7 +17,7 @@ const Kind = "Server"
 
 // Snapshot writes a restorable image of the server: the solver's index at
 // the current flush boundary, the serving generation, and the journal
-// watermark. The solver must implement mips.Persister.
+// watermark.
 //
 // On a server with an attached mutation log the snapshot is taken under the
 // log's lock — the snapshot-at-flush-boundary rule: no flush can apply and
@@ -28,24 +28,20 @@ const Kind = "Server"
 // bookkeeping). Without a log, the solver read-lock excludes Mutate for
 // the duration instead, and the watermark is zero.
 func (s *Server) Snapshot(w io.Writer) error {
-	p, ok := s.solver.(mips.Persister)
-	if !ok {
-		return fmt.Errorf("serving: solver %s does not support snapshots (mips.Persister)", s.solver.Name())
-	}
 	s.mu.Lock()
 	log := s.log
 	s.mu.Unlock()
 	if log != nil {
 		return log.Snapshot(func(appliedSeq uint64) error {
-			return s.writeSnapshot(w, p, appliedSeq)
+			return s.writeSnapshot(w, appliedSeq)
 		})
 	}
 	s.solverMu.RLock()
 	defer s.solverMu.RUnlock()
-	return s.writeSnapshot(w, p, 0)
+	return s.writeSnapshot(w, 0)
 }
 
-func (s *Server) writeSnapshot(w io.Writer, p mips.Persister, appliedSeq uint64) error {
+func (s *Server) writeSnapshot(w io.Writer, appliedSeq uint64) error {
 	s.mu.Lock()
 	gen := s.generation
 	s.mu.Unlock()
@@ -58,7 +54,7 @@ func (s *Server) writeSnapshot(w io.Writer, p mips.Persister, appliedSeq uint64)
 		e.U64(appliedSeq)
 	})
 	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
+	if err := s.solver.Save(&buf); err != nil {
 		return err
 	}
 	pw.Section("solver", func(e *persist.Encoder) {
@@ -104,11 +100,7 @@ func Restore(r io.Reader, solver mips.Solver, cfg Config) (*Server, error) {
 		}
 		return newRestored(solver, cfg, gen, appliedSeq)
 	}
-	p, ok := solver.(mips.Persister)
-	if !ok {
-		return nil, fmt.Errorf("serving: solver %s does not support snapshots (mips.Persister)", solver.Name())
-	}
-	if err := p.Load(bytes.NewReader(payload)); err != nil {
+	if err := solver.Load(bytes.NewReader(payload)); err != nil {
 		return nil, err
 	}
 	return newRestored(solver, cfg, gen, appliedSeq)

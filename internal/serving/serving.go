@@ -14,15 +14,15 @@
 // exceeds one-at-a-time serving while each request still sees bounded
 // latency.
 //
-// Servers over mutable solvers (mips.ItemMutator) additionally support
-// online catalog churn: Mutate applies AddItems/RemoveItems under a
-// single-writer/drain handshake — the in-flight batch finishes against the
-// old index, the mutation lands exclusively, the next batch serves the new
-// generation — and Stats.Generation tells clients when their cached
-// positional item ids went stale. Under sustained churn, Log attaches a
-// batched mutation log (internal/mutlog) that coalesces events and pays one
-// drain and one generation tick per flushed batch instead of per event,
-// with Config.MaxDelay bounding how stale the served catalog may run.
+// Servers also support online catalog churn: Mutate applies
+// AddItems/RemoveItems under a single-writer/drain handshake — the in-flight
+// batch finishes against the old index, the mutation lands exclusively, the
+// next batch serves the new generation — and Stats.Generation tells clients
+// when their cached positional item ids went stale. Under sustained churn,
+// Log attaches a batched mutation log (internal/mutlog) that coalesces
+// events and pays one drain and one generation tick per flushed batch
+// instead of per event, with Config.MaxDelay bounding how stale the served
+// catalog may run.
 package serving
 
 import (
@@ -323,19 +323,9 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// NumItems reports the item count of the underlying solver's corpus, or -1
-// when the solver does not report sizes (mips.Sized). Clients use it to
-// bound k; the mutation log anchors its id space on it.
-func (s *Server) NumItems() int {
-	if sized, ok := s.solver.(mips.Sized); ok {
-		return sized.NumItems()
-	}
-	return -1
-}
-
-// ErrNotMutable is returned by Mutate when the underlying solver does not
-// implement mips.ItemMutator.
-var ErrNotMutable = errors.New("serving: solver does not support item mutation")
+// NumItems reports the item count of the underlying solver's corpus.
+// Clients use it to bound k; the mutation log anchors its id space on it.
+func (s *Server) NumItems() int { return s.solver.NumItems() }
 
 // Mutate applies a catalog mutation to the underlying solver with the
 // single-writer/drain handshake: the in-flight batch (if any) finishes
@@ -366,14 +356,10 @@ var ErrNotMutable = errors.New("serving: solver does not support item mutation")
 // called from any goroutine, including after Close (the drain is then
 // trivially empty).
 func (s *Server) Mutate(fn func(mips.ItemMutator) error) error {
-	mut, ok := s.solver.(mips.ItemMutator)
-	if !ok {
-		return fmt.Errorf("%w (%s)", ErrNotMutable, s.solver.Name())
-	}
 	s.solverMu.Lock()
-	before := mut.Generation()
-	err := fn(mut)
-	if mut.Generation() != before {
+	before := s.solver.Generation()
+	err := fn(s.solver)
+	if s.solver.Generation() != before {
 		// Advance the generation before releasing the write lock: no batch
 		// may be answered from the new catalog while Stats still reports
 		// the old generation, or the client staleness protocol breaks.
@@ -393,20 +379,13 @@ func (s *Server) Mutate(fn func(mips.ItemMutator) error) error {
 // whole batch instead of one per event. Stats mirrors the log's pending and
 // flushed counters.
 //
-// The solver must be a mips.ItemMutator and report its corpus size
-// (mips.Sized). At most one log may be attached per server, and once it is,
-// every catalog mutation must flow through it — a direct Mutate that
-// changes the corpus behind the log's back voids its id bookkeeping (the
-// log detects the drift and fails its next flush). Close closes the log
-// (flushing any pending batch) before stopping; callers who need the final
-// flush's error close the log explicitly first — Log.Close is idempotent.
+// At most one log may be attached per server, and once it is, every catalog
+// mutation must flow through it — a direct Mutate that changes the corpus
+// behind the log's back voids its id bookkeeping (the log detects the drift
+// and fails its next flush). Close closes the log (flushing any pending
+// batch) before stopping; callers who need the final flush's error close the
+// log explicitly first — Log.Close is idempotent.
 func (s *Server) Log(cfg mutlog.Config) (*mutlog.Log, error) {
-	if _, ok := s.solver.(mips.ItemMutator); !ok {
-		return nil, fmt.Errorf("%w (%s)", ErrNotMutable, s.solver.Name())
-	}
-	if s.NumItems() < 0 {
-		return nil, fmt.Errorf("serving: %s does not report its corpus size (mips.Sized)", s.solver.Name())
-	}
 	log, err := mutlog.New(s, cfg)
 	if err != nil {
 		return nil, err
@@ -602,19 +581,14 @@ func groupContext(reqs []request) (context.Context, context.CancelFunc) {
 
 // retryGroup handles a k-group whose batched Query failed. A bad id or k
 // poisons only the requests that carry it, so the healthy majority should
-// not pay a per-request solver call each: when the solver reports its
-// corpus dimensions (mips.Sized), the poisoned requests are identified by
-// inspection, answered individually (one probe each, preserving the
-// solver's own error text), and everything else is answered by a single
-// group retry — O(poisoned) extra solver calls instead of O(batch). Solvers
-// without size information fall back to the serial path.
+// not pay a per-request solver call each: the poisoned requests are
+// identified by inspection against the solver's corpus dimensions, answered
+// individually (one probe each, preserving the solver's own error text), and
+// everything else is answered by a single group retry — O(poisoned) extra
+// solver calls instead of O(batch). A failure no request explains (a solver
+// fault) falls back to the serial path.
 func (s *Server) retryGroup(reqs []request, k int) {
-	sized, ok := s.solver.(mips.Sized)
-	if !ok {
-		s.retrySerial(reqs)
-		return
-	}
-	nUsers, nItems := sized.NumUsers(), sized.NumItems()
+	nUsers, nItems := s.solver.NumUsers(), s.solver.NumItems()
 	var good, bad []request
 	for _, req := range reqs {
 		if req.userID < 0 || req.userID >= nUsers || req.k < 1 || req.k > nItems {

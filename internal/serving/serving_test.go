@@ -2,6 +2,7 @@ package serving
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -185,7 +186,7 @@ func TestBadRequestDoesNotPoisonBatch(t *testing.T) {
 }
 
 // countingSolver wraps a solver and counts QueryCtx calls (the server's one
-// query path), forwarding the wrapped solver's mips.Sized information.
+// query path).
 type countingSolver struct {
 	mips.Solver
 	calls int
@@ -196,21 +197,19 @@ func (c *countingSolver) QueryCtx(ctx context.Context, ids []int, k int, opts mi
 	return c.Solver.QueryCtx(ctx, ids, k, opts)
 }
 
-func (c *countingSolver) NumUsers() int { return c.Solver.(mips.Sized).NumUsers() }
-func (c *countingSolver) NumItems() int { return c.Solver.(mips.Sized).NumItems() }
-
-// hidden re-wraps a countingSolver so the mips.Sized type assertion fails.
-type hidden struct{ c *countingSolver }
-
-func (h hidden) Name() string                           { return h.c.Name() }
-func (h hidden) Batches() bool                          { return h.c.Batches() }
-func (h hidden) Build(u, i *mat.Matrix) error           { return h.c.Build(u, i) }
-func (h hidden) QueryAll(k int) ([][]topk.Entry, error) { return h.c.QueryAll(k) }
-func (h hidden) Query(ids []int, k int) ([][]topk.Entry, error) {
-	return h.c.Query(ids, k)
+// batchFault injects solver faults that no bad request explains: every
+// multi-user query fails, and so does any query for user badUser, although
+// that id is in range.
+type batchFault struct {
+	mips.Solver
+	badUser int
 }
-func (h hidden) QueryCtx(ctx context.Context, ids []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
-	return h.c.QueryCtx(ctx, ids, k, opts)
+
+func (b batchFault) QueryCtx(ctx context.Context, ids []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
+	if len(ids) > 1 || ids[0] == b.badUser {
+		return nil, errors.New("injected solver fault")
+	}
+	return b.Solver.QueryCtx(ctx, ids, k, opts)
 }
 
 // dispatchBatch drives the dispatcher directly with a synthetic batch, so
@@ -292,17 +291,26 @@ func TestPoisonedBatchCostsO1ExtraCalls(t *testing.T) {
 	}
 }
 
-// TestPoisonedBatchSerialFallback pins the behaviour for solvers that do
-// not report their size: correctness is preserved through the serial path.
+// TestPoisonedBatchSerialFallback pins the behaviour when the failure is
+// not request-shaped: after the bad request is isolated, the healthy group
+// retry hits a solver fault, and correctness is preserved through the
+// serial path — which confines a per-user fault to that user's request.
 func TestPoisonedBatchSerialFallback(t *testing.T) {
 	base, users, items := buildSolver(t, 30, 20, 4)
-	cs := &countingSolver{Solver: base}
-	srv, err := New(hidden{cs}, Config{})
+	cs := &countingSolver{Solver: batchFault{Solver: base, badUser: 7}}
+	srv, err := New(cs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	out := dispatchBatch(t, srv, []int{2, 999, 5}, 3)
+	out := dispatchBatch(t, srv, []int{2, 999, 5, 7}, 3)
+	// failed group + poisoned probe + failed healthy retry + 3 serial calls
+	if cs.calls != 6 {
+		t.Fatalf("serial fallback cost %d solver calls, want 6", cs.calls)
+	}
+	if out[3].err == nil {
+		t.Fatal("request hitting the per-user solver fault must fail")
+	}
 	if out[1].err == nil {
 		t.Fatal("poisoned request must fail")
 	}

@@ -374,12 +374,10 @@ func (s *Sharded) loadShardSnapshot(snap []byte, count int) (mips.Solver, error)
 	if !ok {
 		return nil, fmt.Errorf("shard: retained snapshot kind is not a solver")
 	}
-	if sz, ok := sub.(mips.Sized); ok && sz.NumItems() != count {
-		return nil, fmt.Errorf("shard: retained snapshot holds %d items, shard has %d", sz.NumItems(), count)
+	if n := sub.NumItems(); n != count {
+		return nil, fmt.Errorf("shard: retained snapshot holds %d items, shard has %d", n, count)
 	}
-	if ts, ok := sub.(mips.ThreadSetter); ok {
-		ts.SetThreads(s.cfg.Threads)
-	}
+	sub.SetThreads(s.cfg.Threads)
 	return sub, nil
 }
 
@@ -397,14 +395,14 @@ func (s *Sharded) captureSnaps() {
 }
 
 // captureSnap refreshes shard i's retained snapshot from its current
-// sub-solver; a solver that cannot persist simply retains nothing and
-// revival falls back to rebuilding.
+// sub-solver; a failed snapshot simply retains nothing and revival falls
+// back to rebuilding.
 func (s *Sharded) captureSnap(i int) {
 	if !s.cfg.RetainShardSnapshots || i >= len(s.snaps) {
 		return
 	}
 	s.snaps[i] = nil
-	if s.shards[i].count == 0 || !s.shards[i].caps.Snapshots {
+	if s.shards[i].count == 0 {
 		return
 	}
 	// The worker is the source of truth: a dialed worker snapshots its own

@@ -1,16 +1,17 @@
 // Mutable-corpus support for the item-sharded executor: the dirty-shard
 // discipline. A mutation is routed to the shard(s) that own the affected
 // norm range (ByNorm) or the catalog tail (order-based partitions); only
-// those shards are touched — patched in place when their sub-solver
-// implements mips.ItemMutator, rebuilt (and, under a Planner, *re-planned*:
-// the index-vs-scan decision is retaken for the shard's new data
-// distribution, reusing the planner's amortized shared measurement) when it
-// does not. Clean shards keep their built indexes untouched: removals
-// renumber their id maps arithmetically — the compaction shift is monotone,
-// so per-shard id maps stay ascending and shard-local tie-breaks keep
-// agreeing with global ones — and their sub-matrices continue aliasing the
-// pre-mutation corpus rows, which mutation never modifies (every corpus
-// update allocates fresh backing; see mat.AppendRows/RemoveRows).
+// those shards are touched — patched in place through their sub-solver's
+// mips.ItemMutator methods, or rebuilt when the shard is quarantined or a
+// Planner drives the composite (then the shard is *re-planned*: the
+// index-vs-scan decision is retaken for the shard's new data distribution,
+// reusing the planner's amortized shared measurement). Clean shards keep
+// their built indexes untouched: removals renumber their id maps
+// arithmetically — the compaction shift is monotone, so per-shard id maps
+// stay ascending and shard-local tie-breaks keep agreeing with global ones —
+// and their sub-matrices continue aliasing the pre-mutation corpus rows,
+// which mutation never modifies (every corpus update allocates fresh
+// backing; see mat.AppendRows/RemoveRows).
 //
 // Routing invariant. Under ByNorm, Build records each shard's minimum
 // member norm as a fixed cutoff; an arrival goes to the first shard whose
@@ -134,8 +135,7 @@ func (s *Sharded) AddItems(newItems *mat.Matrix) ([]int, error) {
 		// A quarantined shard's worker cannot be trusted with an in-place
 		// patch; the rebuild path below both applies the mutation and heals
 		// the shard.
-		if sh.caps.Mutable && sh.count > 0 &&
-			s.cfg.Planner == nil && s.healthOf(si) == Healthy {
+		if sh.count > 0 && s.cfg.Planner == nil && s.healthOf(si) == Healthy {
 			stages = append(stages, stagedShard{si: si, newIDs: newIDs, patchRows: rows})
 			continue
 		}
@@ -279,10 +279,9 @@ func (s *Sharded) RemoveItems(ids []int) error {
 			// the query fan-out) until an arrival revives it.
 			g.dead = true
 		default:
-			// Quarantined shards take the rebuild path like unpatchable
-			// ones: it applies the removal and heals in one step.
-			if !sh.caps.Mutable ||
-				s.cfg.Planner != nil || s.healthOf(si) != Healthy {
+			// Quarantined and planned shards take the rebuild path: it
+			// applies the removal (and heals, or re-plans) in one step.
+			if s.cfg.Planner != nil || s.healthOf(si) != Healthy {
 				tmp := *sh
 				tmp.ids, tmp.count = newIDs, len(newIDs)
 				if err := s.buildShard(&tmp, si, s.users, subMatrix(items, newIDs), nil); err != nil {
@@ -344,9 +343,8 @@ func (s *Sharded) RemoveItems(ids []int) error {
 // AddUsers implements mips.UserAdder by broadcasting the arrivals to every
 // live shard's sub-solver (each maintains its own per-shard user state —
 // MAXIMUS its θb bookkeeping, the others their query matrices) and growing
-// the composite's user matrix. Every live sub-solver must implement
-// mips.UserAdder; the capability — and the input shape — is checked up
-// front so an unsupported configuration fails before any shard changes.
+// the composite's user matrix. The input shape is checked up front so a
+// malformed batch fails before any shard changes.
 //
 // Error atomicity. The broadcast itself cannot be staged on copies
 // (sub-solvers absorb users in place), so a mid-broadcast failure — a
@@ -399,15 +397,6 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 	}
 	if healed {
 		s.refreshComposite() // a re-plan may have changed capabilities
-	}
-	for si := range s.shards {
-		sh := &s.shards[si]
-		if sh.count == 0 {
-			continue
-		}
-		if !sh.caps.UserAdds {
-			return nil, fmt.Errorf("shard %d (%s): sub-solver does not support AddUsers", si, sh.plan)
-		}
 	}
 	base := s.users.Rows()
 	for si := range s.shards {
@@ -498,10 +487,3 @@ func subMatrix(items *mat.Matrix, ids []int) *mat.Matrix {
 	}
 	return items.SelectRows(ids)
 }
-
-// The composite is itself a mutable corpus (and a user adder), so mutation
-// composes across layers exactly like floor seeding does.
-var (
-	_ mips.ItemMutator = (*Sharded)(nil)
-	_ mips.UserAdder   = (*Sharded)(nil)
-)

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -413,24 +412,16 @@ func TestFexiproJoinsTwoWave(t *testing.T) {
 
 // faultyUserAdder wraps a real solver and fails the Nth AddUsers call the
 // wrapper family sees (shared counter) — either with an error or, worse, by
-// mutating and then violating the id contract. Everything else delegates.
+// mutating and then violating the id contract. Everything else delegates
+// to the embedded solver.
 type faultyUserAdder struct {
-	inner   mips.Solver
+	mips.Solver
 	calls   *int // shared across the factory's instances
 	failAt  int  // 1-based AddUsers call to sabotage; 0 disables
 	violate bool // false: clean error; true: mutate, then return wrong ids
 }
 
-func (f *faultyUserAdder) Name() string                 { return "faulty(" + f.inner.Name() + ")" }
-func (f *faultyUserAdder) Batches() bool                { return f.inner.Batches() }
-func (f *faultyUserAdder) Build(u, i *mat.Matrix) error { return f.inner.Build(u, i) }
-func (f *faultyUserAdder) Query(ids []int, k int) ([][]topk.Entry, error) {
-	return f.inner.Query(ids, k)
-}
-func (f *faultyUserAdder) QueryAll(k int) ([][]topk.Entry, error) { return f.inner.QueryAll(k) }
-func (f *faultyUserAdder) QueryCtx(ctx context.Context, ids []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
-	return f.inner.QueryCtx(ctx, ids, k, opts)
-}
+func (f *faultyUserAdder) Name() string { return "faulty(" + f.Solver.Name() + ")" }
 
 func (f *faultyUserAdder) AddUsers(users *mat.Matrix) ([]int, error) {
 	*f.calls++
@@ -438,7 +429,7 @@ func (f *faultyUserAdder) AddUsers(users *mat.Matrix) ([]int, error) {
 		if !f.violate {
 			return nil, fmt.Errorf("injected AddUsers failure")
 		}
-		ids, err := f.inner.(mips.UserAdder).AddUsers(users) // mutates for real
+		ids, err := f.Solver.AddUsers(users) // mutates for real
 		if err != nil {
 			return nil, err
 		}
@@ -447,7 +438,7 @@ func (f *faultyUserAdder) AddUsers(users *mat.Matrix) ([]int, error) {
 		}
 		return ids, nil
 	}
-	return f.inner.(mips.UserAdder).AddUsers(users)
+	return f.Solver.AddUsers(users)
 }
 
 // TestAddUsersFailureAtomicity is the error-atomicity regression for the
@@ -469,7 +460,7 @@ func TestAddUsersFailureAtomicity(t *testing.T) {
 				Partitioner: ByNorm(),
 				Factory: func() mips.Solver {
 					return &faultyUserAdder{
-						inner:   core.NewBMM(core.BMMConfig{}),
+						Solver:  core.NewBMM(core.BMMConfig{}),
 						calls:   &calls,
 						failAt:  failAt,
 						violate: mode == "id-contract-violation",
@@ -540,16 +531,11 @@ func TestAddUsersFailureAtomicity(t *testing.T) {
 }
 
 // TestShardedMutationUnderServingTypes ensures the composite still
-// advertises the optional interfaces after mutation-related refactors (a
-// regression guard for interface plumbing).
+// advertises the optional PartialQuerier after mutation-related refactors (a
+// regression guard for interface plumbing; mutation and user arrival are
+// part of mips.Solver itself).
 func TestShardedMutationUnderServingTypes(t *testing.T) {
 	var s mips.Solver = New(Config{Factory: func() mips.Solver { return mips.NewNaive() }})
-	if _, ok := s.(mips.ItemMutator); !ok {
-		t.Fatal("Sharded lost mips.ItemMutator")
-	}
-	if _, ok := s.(mips.UserAdder); !ok {
-		t.Fatal("Sharded lost mips.UserAdder")
-	}
 	if _, ok := s.(mips.PartialQuerier); !ok {
 		t.Fatal("Sharded lost mips.PartialQuerier")
 	}

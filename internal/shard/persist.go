@@ -60,9 +60,6 @@ func (s *Sharded) Save(w io.Writer) error {
 		sh := &s.shards[i]
 		var nested []byte
 		if sh.count > 0 {
-			if !sh.caps.Snapshots {
-				return fmt.Errorf("shard %d: sub-solver %s does not implement Save", i, sh.plan)
-			}
 			// Worker-sourced bytes: a dialed worker snapshots its own state,
 			// so the manifest always records what the shard actually serves.
 			b, err := sh.w.Snapshot()
@@ -214,8 +211,8 @@ func (s *Sharded) Load(r io.Reader) error {
 		if !ok {
 			return fmt.Errorf("shard %d: snapshot kind is not a solver", i)
 		}
-		if sz, ok := sub.(mips.Sized); ok && sz.NumItems() != sh.count {
-			return fmt.Errorf("shard %d: sub-solver holds %d items, manifest says %d", i, sz.NumItems(), sh.count)
+		if n := sub.NumItems(); n != sh.count {
+			return fmt.Errorf("shard %d: sub-solver holds %d items, manifest says %d", i, n, sh.count)
 		}
 		// Placement through the manifest: each shard section is the shipping
 		// unit, so under a dialer the worker boots from exactly these bytes

@@ -149,6 +149,9 @@ type Planner interface {
 	// Plan returns a solver already built over (users, items), plus the
 	// name of the strategy it chose for reports.
 	Plan(users, items *mat.Matrix) (mips.Solver, string, error)
+	// SetThreads aligns the planner's measurements to the parallelism the
+	// shards will run at, so per-shard decisions extrapolate correctly.
+	mips.ThreadSetter
 }
 
 // Config configures a Sharded solver.
@@ -165,13 +168,12 @@ type Config struct {
 	// Planner, when non-nil, selects a (possibly different) solver per
 	// shard instead of Factory — the per-shard OPTIMUS decision. Shards are
 	// then planned serially so the planner's timing measurements do not
-	// contend with each other, and a planner implementing mips.ThreadSetter
-	// is aligned to Threads first so decisions are measured at the
-	// parallelism the winners will run at.
+	// contend with each other, and the planner is aligned to Threads first
+	// so decisions are measured at the parallelism the winners will run at.
 	Planner Planner
-	// Threads parallelizes the shard fan-out (and is forwarded to
-	// sub-solvers implementing mips.ThreadSetter via SetThreads); 0 defers
-	// to the package-wide parallel.Threads() default.
+	// Threads parallelizes the shard fan-out (and is forwarded to every
+	// sub-solver via SetThreads); 0 defers to the package-wide
+	// parallel.Threads() default.
 	Threads int
 	// Schedule requests a wave schedule (waves.go). AutoSchedule — the zero
 	// value — resolves to TwoWave when the composite is floor-eligible and
@@ -237,7 +239,9 @@ func (s *shardState) globalID(local int) int {
 }
 
 // Sharded is the composite item-sharded solver. Create with New; it
-// implements mips.Solver, mips.Sized, and mips.ThreadSetter.
+// implements the whole mips.Solver contract — mutation, user arrival and
+// snapshots included — plus mips.PartialQuerier, so mutation and floor
+// seeding compose across layers.
 type Sharded struct {
 	cfg  Config
 	name string
@@ -537,9 +541,7 @@ func (s *Sharded) buildAll(shards []shardState, users *mat.Matrix, subItems []*m
 	if s.cfg.Planner != nil {
 		// Align the planner's measurements to the parallelism the shards
 		// will run at, so per-shard decisions extrapolate correctly.
-		if ts, ok := s.cfg.Planner.(mips.ThreadSetter); ok {
-			ts.SetThreads(s.cfg.Threads)
-		}
+		s.cfg.Planner.SetThreads(s.cfg.Threads)
 		for i := range shards {
 			if err := build(i); err != nil {
 				return err
@@ -653,9 +655,7 @@ func (s *Sharded) buildShard(sh *shardState, i int, users, subItems *mat.Matrix,
 	// The composite's thread setting governs the sub-solvers too, as
 	// Config.Threads documents. Set before any snapshot-and-dial so the
 	// shipped section reflects the aligned configuration.
-	if ts, ok := solver.(mips.ThreadSetter); ok {
-		ts.SetThreads(s.cfg.Threads)
-	}
+	solver.SetThreads(s.cfg.Threads)
 	if err := s.attachWorker(sh, i, solver); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -286,8 +287,10 @@ func TestCascadeCutsScansVsTwoWave(t *testing.T) {
 // stubSolver answers canned, shard-locally-ordered rows without allocating
 // after its first call of a given shape — isolating the composite
 // orchestration layer for the allocation regression test. QueryCtx ignores
-// floors (a superset answer is always valid).
+// floors (a superset answer is always valid). The embedded nil Solver fills
+// out the contract; the query path never calls the rest.
 type stubSolver struct {
+	mips.Solver
 	items int
 	rows  [][]topk.Entry
 	flat  []topk.Entry
@@ -296,6 +299,7 @@ type stubSolver struct {
 func (s *stubSolver) Name() string                         { return "stub" }
 func (s *stubSolver) Batches() bool                        { return false }
 func (s *stubSolver) Build(users, items *mat.Matrix) error { s.items = items.Rows(); return nil }
+func (s *stubSolver) SetThreads(int)                       {}
 
 func (s *stubSolver) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 	if k > s.items {
@@ -411,7 +415,8 @@ func TestWaveScanStatsGrouping(t *testing.T) {
 }
 
 // floorRecorder wraps a real sub-solver, recording the estimation floors the
-// composite replays into rebuilt shards (mips.FloorAwareEstimator).
+// composite replays into rebuilt shards (mips.FloorAwareEstimator). It
+// refuses in-place removals, so a removal reaches the factory rebuild.
 type floorRecorder struct {
 	mips.Solver
 	mu              sync.Mutex
@@ -430,6 +435,10 @@ func (r *floorRecorder) Build(users, items *mat.Matrix) error {
 	r.builtWithFloors = r.floors != nil
 	r.mu.Unlock()
 	return r.Solver.Build(users, items)
+}
+
+func (r *floorRecorder) RemoveItems([]int) error {
+	return errors.New("floorRecorder: in-place removal refused")
 }
 
 // TestObservedFloorFeedback pins the construction side of the loop: queries
@@ -475,8 +484,9 @@ func TestObservedFloorFeedback(t *testing.T) {
 	}
 	want := append([]float64(nil), tail...)
 
-	// Rebuild shard 1 via a removal: the fresh sub-solver must receive the
-	// observed floors before Build.
+	// Rebuild shard 1 via a removal whose in-place patch is refused: the
+	// repair's fresh sub-solver must receive the observed floors before
+	// Build.
 	victim := sh.shards[1].globalID(0)
 	mu.Lock()
 	made = nil

@@ -9,11 +9,12 @@
 // dispatch mode the coordinator uses (ctx, static floors, live board), the
 // three mutation calls the dirty-shard paths need, a snapshot for persistence
 // and revival, scan accounting, and a static capability word. Every solver
-// answers floors and deadlines through mips.Solver.QueryCtx, so the query
-// path needs no capability at all; the word covers only the optional
-// mutation, metering and snapshot surfaces. It is reported once at attach
-// time (Caps) instead of probed per call with type assertions, so a remote
-// worker's capabilities survive the wire without interface identity.
+// implements the whole mips.Solver contract — floors and deadlines through
+// QueryCtx, mutation, user arrival, snapshots — so the word covers only what
+// varies between solvers: whether they batch and whether they meter scans.
+// It is reported once at attach time (Caps) instead of probed per call with
+// type assertions, so a remote worker's capabilities survive the wire
+// without interface identity.
 package shard
 
 import (
@@ -25,22 +26,15 @@ import (
 	"optimus/internal/topk"
 )
 
-// WorkerCaps is a worker's static capability word: which optional parts of
-// the contract the underlying solver actually implements. The coordinator
-// gates on these where it would otherwise assert interfaces — the mutation
-// patch paths, scan accounting, snapshot capture. A transport client
-// forwards the worker-side word verbatim.
+// WorkerCaps is a worker's static capability word: the parts of the
+// underlying solver that vary between implementations. The coordinator gates
+// scan accounting on it. A transport client forwards the worker-side word
+// verbatim.
 type WorkerCaps struct {
 	// Batches mirrors mips.Solver.Batches.
 	Batches bool
-	// Mutable: AddItems/RemoveItems patch in place (mips.ItemMutator).
-	Mutable bool
-	// UserAdds: AddUsers extends the user matrix (mips.UserAdder).
-	UserAdds bool
 	// Scans: ScanStats/ResetScanStats are live meters (mips.ScanCounter).
 	Scans bool
-	// Snapshots: Snapshot serializes the solver (mips.Persister).
-	Snapshots bool
 }
 
 // Worker is the per-shard execution contract. Exactly one worker serves one
@@ -89,23 +83,12 @@ type Worker interface {
 // ordinary quarantine machinery.
 type WorkerDialer func(shard int, section []byte) (Worker, error)
 
-// NewWorker wraps a built sub-solver in the in-process Worker. All optional
-// interfaces are asserted once here, so Query dispatches through cached
-// fields — the fan-out hot path stays allocation-free.
+// NewWorker wraps a built sub-solver in the in-process Worker. The optional
+// scan meter is asserted once here.
 func NewWorker(solver mips.Solver) Worker {
 	w := &localWorker{solver: solver}
-	w.im, _ = solver.(mips.ItemMutator)
-	w.ua, _ = solver.(mips.UserAdder)
 	w.scn, _ = solver.(mips.ScanCounter)
-	w.ts, _ = solver.(mips.ThreadSetter)
-	w.p, _ = solver.(mips.Persister)
-	w.caps = WorkerCaps{
-		Batches:   solver.Batches(),
-		Mutable:   w.im != nil,
-		UserAdds:  w.ua != nil,
-		Scans:     w.scn != nil,
-		Snapshots: w.p != nil,
-	}
+	w.caps = WorkerCaps{Batches: solver.Batches(), Scans: w.scn != nil}
 	return w
 }
 
@@ -115,19 +98,12 @@ func NewWorker(solver mips.Solver) Worker {
 type localWorker struct {
 	solver mips.Solver
 	caps   WorkerCaps
-
-	// Optional interfaces, asserted once at NewWorker.
-	im  mips.ItemMutator
-	ua  mips.UserAdder
-	scn mips.ScanCounter
-	ts  mips.ThreadSetter
-	p   mips.Persister
+	scn    mips.ScanCounter // nil when the solver is unmetered
 }
 
 // Solver exposes the wrapped sub-solver for in-process callers that need the
-// raw mips surface (the transport handler's capability probe, tests arming
-// fault wrappers). Remote workers have no equivalent — the coordinator never
-// calls this.
+// raw mips surface (tests arming fault wrappers). Remote workers have no
+// equivalent — the coordinator never calls this.
 func (w *localWorker) Solver() mips.Solver { return w.solver }
 
 // Query implements Worker with one QueryCtx call.
@@ -135,31 +111,16 @@ func (w *localWorker) Query(ctx context.Context, userIDs []int, k int, floors []
 	return w.solver.QueryCtx(ctx, userIDs, k, mips.QueryOptions{Floors: floors, Board: board})
 }
 
-// AddItems implements Worker (gated by Caps().Mutable).
-func (w *localWorker) AddItems(items *mat.Matrix) ([]int, error) {
-	if w.im == nil {
-		return nil, errNotCapable("AddItems", w.solver.Name())
-	}
-	return w.im.AddItems(items)
-}
+// AddItems implements Worker.
+func (w *localWorker) AddItems(items *mat.Matrix) ([]int, error) { return w.solver.AddItems(items) }
 
-// RemoveItems implements Worker (gated by Caps().Mutable).
-func (w *localWorker) RemoveItems(local []int) error {
-	if w.im == nil {
-		return errNotCapable("RemoveItems", w.solver.Name())
-	}
-	return w.im.RemoveItems(local)
-}
+// RemoveItems implements Worker.
+func (w *localWorker) RemoveItems(local []int) error { return w.solver.RemoveItems(local) }
 
-// AddUsers implements Worker (gated by Caps().UserAdds).
-func (w *localWorker) AddUsers(users *mat.Matrix) ([]int, error) {
-	if w.ua == nil {
-		return nil, errNotCapable("AddUsers", w.solver.Name())
-	}
-	return w.ua.AddUsers(users)
-}
+// AddUsers implements Worker.
+func (w *localWorker) AddUsers(users *mat.Matrix) ([]int, error) { return w.solver.AddUsers(users) }
 
-// Snapshot implements Worker (gated by Caps().Snapshots).
+// Snapshot implements Worker.
 func (w *localWorker) Snapshot() ([]byte, error) {
 	return mips.SnapshotBytes(w.solver)
 }
@@ -180,11 +141,7 @@ func (w *localWorker) ResetScanStats() {
 }
 
 // SetThreads implements Worker.
-func (w *localWorker) SetThreads(n int) {
-	if w.ts != nil {
-		w.ts.SetThreads(n)
-	}
-}
+func (w *localWorker) SetThreads(n int) { w.solver.SetThreads(n) }
 
 // Caps implements Worker.
 func (w *localWorker) Caps() WorkerCaps { return w.caps }
@@ -192,18 +149,6 @@ func (w *localWorker) Caps() WorkerCaps { return w.caps }
 // Close implements Worker: the in-process worker holds no resources beyond
 // the solver itself, which the garbage collector owns.
 func (w *localWorker) Close() error { return nil }
-
-// errNotCapable names a contract call the underlying solver cannot serve —
-// reachable only when a caller ignores the capability word.
-func errNotCapable(op, solver string) error {
-	return &workerCapError{op: op, solver: solver}
-}
-
-type workerCapError struct{ op, solver string }
-
-func (e *workerCapError) Error() string {
-	return "shard: worker " + e.op + ": solver " + e.solver + " lacks the capability"
-}
 
 // attach installs a worker and caches its capability word. Every path that
 // gives a shard a worker — build, load, revival, retune staging, test

@@ -561,3 +561,45 @@ func TestLoopbackPersistRoundTrip(t *testing.T) {
 		assertSameEntries(t, u, want[u], got2[u])
 	}
 }
+
+// TestClientCapsMatchHostedWorker pins the caps byte: the capability word a
+// client reads over the wire equals the one the hosted in-process worker
+// reports, for a batching metered solver (BMM), a point-query metered one
+// (LEMP) and an unmetered one (Naive).
+func TestClientCapsMatchHostedWorker(t *testing.T) {
+	m := model(t, "netflix-nomad-25", 0.02)
+	for name, tc := range map[string]struct {
+		solver mips.Solver
+		want   shard.WorkerCaps
+	}{
+		"BMM":   {core.NewBMM(core.BMMConfig{}), shard.WorkerCaps{Batches: true, Scans: true}},
+		"LEMP":  {lemp.New(lemp.Config{Seed: 3}), shard.WorkerCaps{Scans: true}},
+		"Naive": {mips.NewNaive(), shard.WorkerCaps{}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := tc.solver.Build(m.Users, m.Items); err != nil {
+				t.Fatal(err)
+			}
+			local := shard.NewWorker(tc.solver).Caps()
+			if local != tc.want {
+				t.Fatalf("local worker caps = %+v, want %+v", local, tc.want)
+			}
+			section, err := mips.SnapshotBytes(tc.solver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := transport.NewHandler(section)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := transport.NewClient(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if got := c.Caps(); got != local {
+				t.Fatalf("client caps = %+v, hosted worker caps = %+v", got, local)
+			}
+		})
+	}
+}

@@ -74,7 +74,7 @@ type Conn interface {
 // capsBits packs a capability word into one wire byte.
 func capsBits(c shard.WorkerCaps) byte {
 	var b byte
-	for bit, on := range [...]bool{c.Batches, c.Mutable, c.UserAdds, c.Scans, c.Snapshots} {
+	for bit, on := range [...]bool{c.Batches, c.Scans} {
 		if on {
 			b |= 1 << bit
 		}
@@ -83,13 +83,7 @@ func capsBits(c shard.WorkerCaps) byte {
 }
 
 func capsFromBits(b byte) shard.WorkerCaps {
-	return shard.WorkerCaps{
-		Batches:   b&(1<<0) != 0,
-		Mutable:   b&(1<<1) != 0,
-		UserAdds:  b&(1<<2) != 0,
-		Scans:     b&(1<<3) != 0,
-		Snapshots: b&(1<<4) != 0,
-	}
+	return shard.WorkerCaps{Batches: b&(1<<0) != 0, Scans: b&(1<<1) != 0}
 }
 
 // Handler hosts one worker on the far side of a wire: it boots the worker by

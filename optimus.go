@@ -80,7 +80,9 @@ type Matrix = mat.Matrix
 type Entry = topk.Entry
 
 // Solver is an exact batch top-K MIPS solver (see the mips package contract:
-// Build, then Query/QueryAll; implementations are read-only after Build).
+// Build, then Query/QueryAll/QueryCtx). Every solver also reports its sizes
+// (NumUsers/NumItems), takes a thread setting (SetThreads), and implements
+// ItemMutator, UserAdder and Persister, so one can stand in for another.
 type Solver = mips.Solver
 
 // QueryOptions carries the optional floor source of a Solver.QueryCtx call:
@@ -92,7 +94,7 @@ type Solver = mips.Solver
 // schedules are built on them.
 type QueryOptions = mips.QueryOptions
 
-// ItemMutator is the optional Solver refinement for mutable item corpora —
+// ItemMutator is the Solver method group for mutable item corpora —
 // the build/mutate lifecycle. AddItems appends items (ids [n, n+m) are
 // returned), RemoveItems deletes and compacts (survivors keep relative
 // order, renumbered densely), and Generation stamps the catalog version.
@@ -106,7 +108,7 @@ type QueryOptions = mips.QueryOptions
 // in-flight queries; Server.Mutate does this for online deployments.
 type ItemMutator = mips.ItemMutator
 
-// UserAdder is the optional Solver refinement for dynamic user arrival
+// UserAdder is the Solver method group for dynamic user arrival
 // (§III-E): AddUsers appends user vectors (ids [n, n+m) are returned) while
 // queries stay exact for old and new users. Every solver implements it —
 // MAXIMUS with the paper's assign-to-nearest-centroid path plus θb
@@ -293,11 +295,10 @@ type ShardMutationStats = shard.MutationStats
 // The composite is itself an ItemMutator: AddItems routes each arrival to
 // the shard owning its norm range (ByNorm; order-based partitions extend
 // the tail shard) and RemoveItems compacts only the owning shards — dirty
-// shards are patched in place when the sub-solver mutates, rebuilt (and
-// under NewShardPlanner re-planned, reusing the amortized shared
-// measurement) when it does not, while clean shards keep their indexes
-// untouched. Plans exposes per-shard build counts and MutationStats the
-// patch/rebuild totals.
+// shards are patched in place, or rebuilt when quarantined (and under
+// NewShardPlanner re-planned, reusing the amortized shared measurement),
+// while clean shards keep their indexes untouched. Plans exposes per-shard
+// build counts and MutationStats the patch/rebuild totals.
 func NewSharded(cfg ShardedConfig) *Sharded { return shard.New(cfg) }
 
 // ShardContiguous returns the default partitioner: equal consecutive item
@@ -366,9 +367,9 @@ type ShardHealth = shard.ShardHealth
 // NewShardWorker, remote shards arrive through a ShardWorkerDialer.
 type ShardWorker = shard.Worker
 
-// ShardWorkerCaps declares which optional surfaces (mutation, user
-// arrival, scan meters, snapshots) a worker supports; the coordinator
-// consults it instead of type-asserting, so the word survives a wire.
+// ShardWorkerCaps declares what varies between workers' solvers: whether
+// they batch and whether they meter scans. The coordinator consults it
+// instead of type-asserting, so the word survives a wire.
 type ShardWorkerCaps = shard.WorkerCaps
 
 // ShardWorkerDialer connects shard index i to its worker during Build/Load,
@@ -409,16 +410,12 @@ type Server = serving.Server
 // ErrServerClosed is returned by Server.Query after Close.
 var ErrServerClosed = serving.ErrClosed
 
-// ErrServerNotMutable is returned by Server.Mutate when the underlying
-// solver does not implement ItemMutator.
-var ErrServerNotMutable = serving.ErrNotMutable
-
 // NewServer starts a micro-batching server around an already-built solver.
-// When the solver is an ItemMutator, Server.Mutate applies catalog churn
-// with the generation-safe drain handshake: the in-flight batch finishes
-// against the old index, the mutation lands exclusively, and
-// Stats.Generation advances (only when the catalog actually changed — an
-// fn that performs no successful item mutation leaves it alone).
+// Server.Mutate applies catalog churn with the generation-safe drain
+// handshake: the in-flight batch finishes against the old index, the
+// mutation lands exclusively, and Stats.Generation advances (only when the
+// catalog actually changed — an fn that performs no successful item
+// mutation leaves it alone).
 func NewServer(solver Solver, cfg ServerConfig) (*Server, error) {
 	return serving.New(solver, cfg)
 }
@@ -507,7 +504,7 @@ func NewAdaptiveTuner(d AdaptiveDriver, cfg AdaptiveConfig) (*AdaptiveTuner, err
 // underlying solver cannot measure and re-structure itself.
 var ErrServerNotAdaptive = serving.ErrNotAdaptive
 
-// Persister is the optional Solver refinement for versioned snapshots:
+// Persister is the Solver method group for versioned snapshots:
 // Save writes a self-describing binary image of the built index and Load
 // reconstructs it into an exact replica — loaded state answers queries
 // entry-for-entry (bit-for-bit) like the saved solver, and Generation is
@@ -516,15 +513,8 @@ var ErrServerNotAdaptive = serving.ErrNotAdaptive
 // composite, whose stream is the shard manifest.
 type Persister = mips.Persister
 
-// SaveSolver writes a built solver's snapshot. The solver must implement
-// Persister (all shipped solvers do).
-func SaveSolver(w io.Writer, s Solver) error {
-	p, ok := s.(mips.Persister)
-	if !ok {
-		return fmt.Errorf("optimus: solver %s does not support snapshots", s.Name())
-	}
-	return p.Save(w)
-}
+// SaveSolver writes a built solver's snapshot (Solver.Save).
+func SaveSolver(w io.Writer, s Solver) error { return s.Save(w) }
 
 // LoadSolver reconstructs a solver from a snapshot stream, dispatching on
 // the kind string embedded in the header — the inverse of SaveSolver when

@@ -79,7 +79,7 @@ func roundTrip(t *testing.T, built Solver, fresh Solver) Solver {
 	if err := SaveSolver(&buf, built); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	if err := fresh.(Persister).Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := fresh.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	return fresh
@@ -107,9 +107,8 @@ func TestSaveLoadEquivalence(t *testing.T) {
 			if err := VerifyAll(users, items, got, k, 1e-8); err != nil {
 				t.Fatalf("restored results fail the oracle: %v", err)
 			}
-			bm, lm := built.(ItemMutator), loaded.(ItemMutator)
-			if bm.Generation() != lm.Generation() {
-				t.Fatalf("generation %d saved, %d restored", bm.Generation(), lm.Generation())
+			if built.Generation() != loaded.Generation() {
+				t.Fatalf("generation %d saved, %d restored", built.Generation(), loaded.Generation())
 			}
 			// LoadSolver (registry dispatch) must agree with Load-into-fresh.
 			var buf bytes.Buffer
@@ -206,7 +205,7 @@ func TestLoadRejectsAliasing(t *testing.T) {
 			}
 			raw := buf.Bytes()
 			loaded := mk()
-			if err := loaded.(Persister).Load(bytes.NewReader(raw)); err != nil {
+			if err := loaded.Load(bytes.NewReader(raw)); err != nil {
 				t.Fatal(err)
 			}
 			want, err := loaded.QueryAll(k)
@@ -242,10 +241,7 @@ func TestSnapshotMutateSnapshot(t *testing.T) {
 	}
 	loaded := roundTrip(t, built, mk())
 
-	applier, err := mutlog.Direct(loaded.(mips.ItemMutator))
-	if err != nil {
-		t.Fatal(err)
-	}
+	applier := mutlog.Direct(loaded)
 	log, err := mutlog.New(applier, mutlog.Config{MaxEvents: -1, MaxDelay: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +267,7 @@ func TestSnapshotMutateSnapshot(t *testing.T) {
 	if err := VerifyMutation(final, mk(), users, corpus, k, 1e-8); err != nil {
 		t.Fatal(err)
 	}
-	if g := final.(mips.ItemMutator).Generation(); g == 0 {
+	if g := final.Generation(); g == 0 {
 		t.Fatal("mutated generation not preserved across the second round-trip")
 	}
 }
