@@ -253,7 +253,7 @@ func BenchmarkThresholdPruning(b *testing.B) {
 		for _, mode := range []string{"blind", "seeded"} {
 			b.Run(fmt.Sprintf("%s/S=%d/%s", solver, shards, mode), func(b *testing.B) {
 				solver := solver
-				schedule := shard.AutoSchedule
+				schedule := shard.TwoWave
 				if mode == "blind" {
 					schedule = shard.SingleWave
 				}
@@ -286,58 +286,6 @@ func BenchmarkThresholdPruning(b *testing.B) {
 				users := float64(m.Users.Rows()) * float64(b.N)
 				b.ReportMetric(users/b.Elapsed().Seconds(), "users/s")
 				b.ReportMetric(float64(tail)/users, "tail-scan/user")
-			})
-		}
-	}
-}
-
-// BenchmarkWaveScheduling — the wave-schedule sweep on the by-norm
-// partition: blind single-wave fan-out, the head-seeded two-wave default,
-// the serial cascade (each wave's union k-th tightens the next wave's
-// floors), and the pipelined schedule (all shards concurrent over a live
-// floor board). Besides users/s, each run reports scan/user — total
-// candidates evaluated per queried user. The counter is deterministic for
-// every schedule except pipelined, whose floors race shard completion;
-// regression gating reads the cascade and two-wave rows. Compare with
-//
-//	go test -bench=WaveScheduling -run=^$ -count=5 | benchstat
-func BenchmarkWaveScheduling(b *testing.B) {
-	m := benchModel(b, "kdd-nomad-50") // the registry's heaviest norm skew
-	const k = 10
-	const shards = 4
-	for _, solver := range []string{"LEMP", "MAXIMUS"} {
-		for _, sched := range []shard.Schedule{
-			shard.SingleWave, shard.TwoWave, shard.Cascade, shard.Pipelined,
-		} {
-			b.Run(fmt.Sprintf("%s/S=%d/%s", solver, shards, sched), func(b *testing.B) {
-				solver := solver
-				s := shard.New(shard.Config{
-					Shards:      shards,
-					Partitioner: shard.ByNorm(),
-					Schedule:    sched,
-					Factory:     func() mips.Solver { return benchSolver(solver) },
-				})
-				if err := s.Build(m.Users, m.Items); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.QueryAll(k); err != nil { // warm tuning caches (LEMP)
-					b.Fatal(err)
-				}
-				s.ResetScanStats()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.QueryAll(k); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				var total int64
-				for _, st := range s.WaveScanStats() {
-					total += st.Scanned
-				}
-				users := float64(m.Users.Rows()) * float64(b.N)
-				b.ReportMetric(users/b.Elapsed().Seconds(), "users/s")
-				b.ReportMetric(float64(total)/users, "scan/user")
 			})
 		}
 	}

@@ -8,7 +8,7 @@
 //	mipsbench [flags] <experiment>
 //
 // where <experiment> is one of: table1 fig2 fig4 fig5 fig6 fig7 fig8 table2
-// sharding waves churn coldstart drift ablation-clustering ablation-params
+// sharding churn coldstart drift ablation-clustering ablation-params
 // ablation-ttest ablation-costmodel all
 //
 // Examples:

@@ -19,12 +19,13 @@
 //	mipsquery -snapshot idx.osnp -k 10 -user 42
 //
 // -shards N (N > 1) runs the chosen solver item-sharded under the by-norm
-// partitioner, and -schedule selects the wave schedule (auto | single |
-// two-wave | cascade | pipelined) — cross-shard threshold propagation.
-// -schedule alone also re-schedules a sharded -snapshot:
+// partitioner, and -schedule selects the wave schedule: two-wave (the
+// default; the head shard's k-th scores seed the tail shards' floors) or
+// single (blind fan-out, no cross-shard threshold propagation). -schedule
+// alone also re-schedules a sharded -snapshot:
 //
-//	mipsquery -users u.omx -items i.omx -k 10 -solver lemp -shards 4 -schedule cascade
-//	mipsquery -snapshot sharded.osnp -k 10 -schedule pipelined
+//	mipsquery -users u.omx -items i.omx -k 10 -solver lemp -shards 4 -schedule single
+//	mipsquery -snapshot sharded.osnp -k 10 -schedule two-wave
 //
 // -timeout bounds the whole batch with a context deadline (the run fails
 // with a deadline error instead of overstaying), and -partial answers a
@@ -87,7 +88,7 @@ func main() {
 		snapPath  = flag.String("snapshot", "", "load a saved index snapshot instead of building (-users/-items not needed)")
 		savePath  = flag.String("save", "", "write the built index as a snapshot to this path")
 		shards    = flag.Int("shards", 0, "item-shard the solver across this many by-norm shards (0/1 = unsharded)")
-		schedule  = flag.String("schedule", "", "wave schedule for a sharded solver: auto | single | two-wave | cascade | pipelined")
+		schedule  = flag.String("schedule", "", "wave schedule for a sharded solver: two-wave (default) | single")
 		timeout   = flag.Duration("timeout", 0, "query deadline (e.g. 500ms); the batch fails with a deadline error instead of running long")
 		partial   = flag.Bool("partial", false, "degraded mode for a sharded solver: answer from healthy shards and print the coverage report")
 		retune    = flag.Bool("retune", false, "run the shard-count sweep on a sharded index before answering; prints the drift report and per-candidate timings")

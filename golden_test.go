@@ -22,7 +22,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
+
+	"optimus/internal/persist"
 )
 
 func goldenCorpus() (*Matrix, *Matrix) {
@@ -147,16 +150,12 @@ func TestGoldenVersionSkew(t *testing.T) {
 
 // TestGoldenScheduleEvolution pins the additive-evolution contract of the
 // wave-schedule section: the committed v1 sharded golden (written before
-// schedules existed) still loads and resolves through the auto decision
-// table (waves.go), a re-save of it stays byte-identical (the default
-// writes no schedule section), and a schedule-bearing snapshot — the same
-// stream plus one trailing section — round-trips the requested schedule
-// with identical answers. The resolution inputs are pinned for
-// determinism: the golden corpus's norm skew is fixed by its bytes (below
-// the auto threshold), and the core count is pinned to one, which the
-// decision table resolves to the serial cascade.
+// schedules existed) still loads and resolves to the default two-wave
+// schedule, a re-save of it stays byte-identical (the default writes no
+// schedule section), and a schedule-bearing snapshot — the same stream plus
+// one trailing section — round-trips the requested single schedule with
+// identical answers.
 func TestGoldenScheduleEvolution(t *testing.T) {
-	defer SetThreads(SetThreads(1))
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "sharded.osnp"))
 	if err != nil {
 		t.Fatal(err)
@@ -169,11 +168,11 @@ func TestGoldenScheduleEvolution(t *testing.T) {
 	if !ok {
 		t.Fatalf("sharded golden loaded as %T", loaded)
 	}
-	if sh.RequestedSchedule() != ScheduleAuto {
-		t.Fatalf("pre-schedule golden requests %v, want auto", sh.RequestedSchedule())
+	if sh.RequestedSchedule() != ScheduleTwoWave {
+		t.Fatalf("pre-schedule golden requests %v, want two-wave", sh.RequestedSchedule())
 	}
-	if sh.ActiveSchedule() != ScheduleCascade {
-		t.Fatalf("pre-schedule golden resolves to %v, want cascade (low skew on one core)", sh.ActiveSchedule())
+	if sh.ActiveSchedule() != ScheduleTwoWave {
+		t.Fatalf("pre-schedule golden resolves to %v, want two-wave", sh.ActiveSchedule())
 	}
 	const k = 5
 	want, err := sh.QueryAll(k)
@@ -191,7 +190,7 @@ func TestGoldenScheduleEvolution(t *testing.T) {
 			resave.Len(), len(golden))
 	}
 
-	if err := sh.SetSchedule(ScheduleCascade); err != nil {
+	if err := sh.SetSchedule(ScheduleSingle); err != nil {
 		t.Fatal(err)
 	}
 	var extended bytes.Buffer
@@ -206,8 +205,8 @@ func TestGoldenScheduleEvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh2 := reloaded.(*Sharded)
-	if sh2.RequestedSchedule() != ScheduleCascade || sh2.ActiveSchedule() != ScheduleCascade {
-		t.Fatalf("reloaded schedule %v/%v, want cascade/cascade",
+	if sh2.RequestedSchedule() != ScheduleSingle || sh2.ActiveSchedule() != ScheduleSingle {
+		t.Fatalf("reloaded schedule %v/%v, want single/single",
 			sh2.RequestedSchedule(), sh2.ActiveSchedule())
 	}
 	got, err := sh2.QueryAll(k)
@@ -215,4 +214,54 @@ func TestGoldenScheduleEvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameEntries(t, want, got)
+}
+
+// TestGoldenRejectsUnknownSchedules appends a trailing schedule section
+// naming a schedule this reader does not know — the names earlier writers
+// could emit for removed schedules included — to the committed sharded
+// golden, the way TestGoldenScheduleEvolution extends it. The load must fail
+// with an error that lists the valid names, never fall back silently.
+func TestGoldenRejectsUnknownSchedules(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "sharded.osnp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"auto", "cascade", "pipelined", "warp"} {
+		stream := append(append([]byte(nil), golden...), scheduleSection(t, name)...)
+		_, err := LoadSolver(bytes.NewReader(stream))
+		if err == nil {
+			t.Fatalf("snapshot with schedule section %q loaded", name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"`+name+`"`) ||
+			!strings.Contains(msg, "two-wave") || !strings.Contains(msg, "single") {
+			t.Fatalf("schedule %q: load error %q must name it and list the valid names", name, msg)
+		}
+	}
+	// Control: the same construction with a known name loads.
+	stream := append(append([]byte(nil), golden...), scheduleSection(t, "single")...)
+	loaded, err := LoadSolver(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.(*Sharded).RequestedSchedule(); got != ScheduleSingle {
+		t.Fatalf("appended single section loaded as %v", got)
+	}
+}
+
+// scheduleSection encodes one framed "schedule" section carrying name, as
+// Sharded.Save writes it after the shard sections: a throwaway stream's
+// header is written and cut off, leaving the section bytes alone.
+func scheduleSection(t *testing.T, name string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	pw, err := persist.NewWriter(&buf, "sharded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := buf.Len()
+	pw.Section("schedule", func(e *persist.Encoder) { e.String(name) })
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()[header:]
 }

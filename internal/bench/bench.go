@@ -71,7 +71,7 @@ func New(opt Options) *Runner {
 func Experiments() []string {
 	return []string{
 		"table1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "table2",
-		"sharding", "waves", "loopback", "churn", "coldstart", "drift",
+		"sharding", "loopback", "churn", "coldstart", "drift",
 		"ablation-clustering", "ablation-params", "ablation-ttest", "ablation-costmodel",
 		"ablation-conetree", "ablation-approx",
 	}
@@ -98,8 +98,6 @@ func (r *Runner) Run(id string) error {
 		return r.Table2()
 	case "sharding":
 		return r.Sharding()
-	case "waves":
-		return r.Waves()
 	case "loopback":
 		return r.Loopback()
 	case "churn":

@@ -119,7 +119,7 @@ func (r *Runner) thresholdPropagation(m *dataset.Model) error {
 			var blindTail int64
 			var blindRes [][]topk.Entry
 			for _, disable := range []bool{true, false} {
-				schedule := shard.AutoSchedule
+				schedule := shard.TwoWave
 				if disable {
 					schedule = shard.SingleWave
 				}

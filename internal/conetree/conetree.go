@@ -280,24 +280,22 @@ func bound(n *node, u []float64, unorm float64) float64 {
 
 // Query implements mips.Solver.
 func (x *Index) Query(userIDs []int, k int) ([][]topk.Entry, error) {
-	return x.query(nil, userIDs, k, nil, nil)
+	return x.query(nil, userIDs, k, nil)
 }
 
 // QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
 // branch-and-bound descent compares node bounds against it from the root
 // down — a whole subtree whose bound trails the floor is pruned before a
-// single inner product. A live board is re-read at every internal node the
-// descent enters, the tree's natural pruning granularity, so a floor raised
-// by a concurrently finishing shard tightens the threshold for the rest of
-// the descent. ctx is polled once per user and at every internal node.
+// single inner product. ctx is polled once per user and at every internal
+// node.
 func (x *Index) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
 	}
-	return x.query(ctx, userIDs, k, opts.Floors, opts.Board)
+	return x.query(ctx, userIDs, k, opts.Floors)
 }
 
-func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, error) {
+func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
 	if x.root == nil {
 		return nil, fmt.Errorf("conetree: Query before Build")
 	}
@@ -319,11 +317,9 @@ func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float6
 			floor := math.Inf(-1)
 			if floors != nil {
 				floor = floors[qi]
-			} else if board != nil {
-				floor = board.Floor(qi)
 			}
 			h := topk.NewSeeded(k, floor)
-			x.search(ctx, x.root, urow, mat.Norm(urow), h, board, qi, &scanned)
+			x.search(ctx, x.root, urow, mat.Norm(urow), h, &scanned)
 			out[qi] = h.Sorted()
 		}
 		x.scanned.Add(scanned)
@@ -347,10 +343,8 @@ func (x *Index) QueryAll(k int) ([][]topk.Entry, error) {
 // first and pruned against the heap threshold (with the repository's
 // floating-point guard band). A seeded heap reports its floor as the
 // threshold before it fills, so a floored query prunes from the first
-// descent. With a live board, each internal-node entry re-polls the user's
-// cell and tightens the heap floor before the children's bounds are judged.
-// scanned accumulates leaf-item evaluations.
-func (x *Index) search(ctx context.Context, n *node, u []float64, unorm float64, h *topk.Heap, board *topk.FloorBoard, cell int, scanned *int64) {
+// descent. scanned accumulates leaf-item evaluations.
+func (x *Index) search(ctx context.Context, n *node, u []float64, unorm float64, h *topk.Heap, scanned *int64) {
 	if n.left == nil {
 		*scanned += int64(n.hi - n.lo)
 		for s := n.lo; s < n.hi; s++ {
@@ -363,9 +357,6 @@ func (x *Index) search(ctx context.Context, n *node, u []float64, unorm float64,
 	if ctx != nil && ctx.Err() != nil {
 		return
 	}
-	if board != nil {
-		h.RaiseFloor(board.Floor(cell))
-	}
 	bl := bound(n.left, u, unorm)
 	br := bound(n.right, u, unorm)
 	first, second := n.left, n.right
@@ -375,10 +366,10 @@ func (x *Index) search(ctx context.Context, n *node, u []float64, unorm float64,
 		bFirst, bSecond = br, bl
 	}
 	if thr, ok := h.Threshold(); !ok || bFirst >= thr-slack(thr) {
-		x.search(ctx, first, u, unorm, h, board, cell, scanned)
+		x.search(ctx, first, u, unorm, h, scanned)
 	}
 	if thr, ok := h.Threshold(); !ok || bSecond >= thr-slack(thr) {
-		x.search(ctx, second, u, unorm, h, board, cell, scanned)
+		x.search(ctx, second, u, unorm, h, scanned)
 	}
 }
 

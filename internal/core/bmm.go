@@ -177,17 +177,12 @@ func (b *BMM) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 // cannot skip any inner products, but the harvest is floor-aware: each
 // row's heap is seeded, so below-floor scores never enter it, sift work
 // collapses on heavily floored rows, and a row whose every score trails its
-// floor allocates nothing. A live board is snapshotted into static floors
-// (valid: cells only rise).
+// floor allocates nothing.
 func (b *BMM) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
 	}
-	floors := opts.Floors
-	if opts.Board != nil {
-		floors = opts.Board.Snapshot(nil)
-	}
-	res, _, err := b.queryStats(ctx, userIDs, k, floors)
+	res, _, err := b.queryStats(ctx, userIDs, k, opts.Floors)
 	return res, err
 }
 

@@ -477,27 +477,25 @@ func (m *Maximus) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 
 // QueryStats is Query with traversal instrumentation.
 func (m *Maximus) QueryStats(userIDs []int, k int) ([][]topk.Entry, MaximusQueryStats, error) {
-	return m.queryStats(nil, userIDs, k, nil, nil)
+	return m.queryStats(nil, userIDs, k, nil)
 }
 
 // QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
 // sorted-bound walk terminates as soon as the Equation 3 bound trails it —
 // before the heap fills, often right after the shared blocked prefix (whose
 // pushes the floor filters but whose GEMM still runs: block sizes are fixed
-// at Build; the construction-side answer to that is SetEstimationFloors). A
-// live board seeds the heap the same way and is re-polled every
-// floorPollInterval walk positions, so a bound published by a concurrently
-// finishing shard ends this walk early. ctx is polled at every cluster
-// boundary and at the same walk poll points.
+// at Build; the construction-side answer to that is SetEstimationFloors).
+// ctx is polled at every cluster boundary and every ctxPollInterval walk
+// positions.
 func (m *Maximus) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
 	}
-	res, _, err := m.queryStats(ctx, userIDs, k, opts.Floors, opts.Board)
+	res, _, err := m.queryStats(ctx, userIDs, k, opts.Floors)
 	return res, err
 }
 
-func (m *Maximus) queryStats(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, MaximusQueryStats, error) {
+func (m *Maximus) queryStats(ctx context.Context, userIDs []int, k int, floors []float64) ([][]topk.Entry, MaximusQueryStats, error) {
 	var st MaximusQueryStats
 	if m.lists == nil {
 		return nil, st, fmt.Errorf("core: MAXIMUS Query before Build")
@@ -528,7 +526,7 @@ func (m *Maximus) queryStats(ctx context.Context, userIDs []int, k int, floors [
 		if err := mips.CtxErr(ctx); err != nil {
 			return nil, st, err
 		}
-		bt, v := m.queryCluster(ctx, c, byCluster[c], userIDs, k, floors, board, out)
+		bt, v := m.queryCluster(ctx, c, byCluster[c], userIDs, k, floors, out)
 		blockNanos += bt
 		visited[c] = v
 	}
@@ -545,16 +543,16 @@ func (m *Maximus) queryStats(ctx context.Context, userIDs []int, k int, floors [
 	return out, st, nil
 }
 
-// floorPollInterval is how many walk positions MAXIMUS scores between
-// re-polls of a live floor board cell: frequent enough that a raised floor
-// cuts the walk promptly, sparse enough that the atomic load stays invisible
-// next to the dot products.
-const floorPollInterval = 128
+// ctxPollInterval is how many walk positions MAXIMUS scores between
+// cancellation polls: frequent enough that a deadline cuts the walk
+// promptly, sparse enough that the poll stays invisible next to the dot
+// products.
+const ctxPollInterval = 128
 
-// queryCluster answers all queried users of one cluster; floors (static) or
-// board (live), when non-nil, are aligned with userIDs. Returns block-GEMM
-// nanoseconds and total list positions visited.
-func (m *Maximus) queryCluster(ctx context.Context, c int, queryPos []int, userIDs []int, k int, floors []float64, board *topk.FloorBoard, out [][]topk.Entry) (int64, int64) {
+// queryCluster answers all queried users of one cluster; floors, when
+// non-nil, are aligned with userIDs. Returns block-GEMM nanoseconds and
+// total list positions visited.
+func (m *Maximus) queryCluster(ctx context.Context, c int, queryPos []int, userIDs []int, k int, floors []float64, out [][]topk.Entry) (int64, int64) {
 	list := m.lists[c]
 	bounds := m.bounds[c]
 	nItems := len(list)
@@ -596,8 +594,6 @@ func (m *Maximus) queryCluster(ctx context.Context, c int, queryPos []int, userI
 			floor := math.Inf(-1)
 			if floors != nil {
 				floor = floors[qi]
-			} else if board != nil {
-				floor = board.Floor(qi)
 			}
 			h := topk.NewSeeded(k, floor)
 			start := 0
@@ -624,19 +620,15 @@ func (m *Maximus) queryCluster(ctx context.Context, c int, queryPos []int, userI
 			}
 			// Walk the remainder; terminate when the sorted bound proves no
 			// later entry can displace the heap minimum (or beat the floor:
-			// a seeded heap reports its floor before it fills). Under a live
-			// board the cell is re-polled every floorPollInterval positions.
+			// a seeded heap reports its floor before it fills).
 			poll := 0
 			for pos := start; pos < nItems; pos++ {
-				if board != nil || ctx != nil {
+				if ctx != nil {
 					if poll == 0 {
-						if board != nil {
-							h.RaiseFloor(board.Floor(qi))
-						}
-						if ctx != nil && ctx.Err() != nil {
+						if ctx.Err() != nil {
 							break
 						}
-						poll = floorPollInterval
+						poll = ctxPollInterval
 					}
 					poll--
 				}

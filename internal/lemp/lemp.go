@@ -367,25 +367,22 @@ func (x *Index) ResetScanStats() { x.scanned.Store(0) }
 
 // Query implements mips.Solver.
 func (x *Index) Query(userIDs []int, k int) ([][]topk.Entry, error) {
-	return x.query(nil, userIDs, k, nil, nil)
+	return x.query(nil, userIDs, k, nil)
 }
 
 // QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
 // bucket break and the scanLength/scanIncr prunes fire before the heap
-// fills — on a high floor, often at the very first bucket. A live board
-// seeds the heap the same way and is re-polled at every bucket boundary,
-// where the bucket break already fires, so a floor raised by a concurrently
-// finishing shard tightens the break and the within-bucket prunes
-// mid-query. ctx is polled once per user and at every bucket boundary, so
-// cancellation lands within one bucket scan.
+// fills — on a high floor, often at the very first bucket. ctx is polled
+// once per user and at every bucket boundary, so cancellation lands within
+// one bucket scan.
 func (x *Index) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
 	}
-	return x.query(ctx, userIDs, k, opts.Floors, opts.Board)
+	return x.query(ctx, userIDs, k, opts.Floors)
 }
 
-func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, error) {
+func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
 	if x.sorted == nil {
 		return nil, fmt.Errorf("lemp: Query before Build")
 	}
@@ -408,10 +405,7 @@ func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float6
 			floor := math.Inf(-1)
 			if floors != nil {
 				floor = floors[qi]
-			} else if board != nil {
-				floor = board.Floor(qi)
 			}
-			scratch.board, scratch.cell = board, qi
 			out[qi] = x.queryOne(x.users.Row(u), k, floor, tn, scratch, nil)
 		}
 		x.scanned.Add(scratch.scanned)
@@ -442,15 +436,11 @@ func (x *Index) ChosenAlgorithms(k int) []Algorithm {
 	return out
 }
 
-// scratch holds per-goroutine temporaries reused across users. board/cell,
-// when set, identify the live floor cell of the user currently being
-// answered (QueryOptions.Board); both are reassigned per user.
+// scratch holds per-goroutine temporaries reused across users.
 type scratch struct {
 	usuf1, usuf2 float64
 	scanned      int64 // candidates evaluated, flushed per chunk
 	bucketTimes  [][numAlgos]time.Duration
-	board        *topk.FloorBoard
-	cell         int
 	ctx          context.Context // nil outside QueryCtx; polled per bucket
 }
 
@@ -515,13 +505,6 @@ func (x *Index) queryOne(user []float64, k int, floor float64, tn *tuning, scr *
 		// discarded by the caller, which returns ctx.Err() from its own poll.
 		if scr.ctx != nil && scr.ctx.Err() != nil {
 			break
-		}
-		// Live floors: re-poll the user's board cell at the bucket boundary,
-		// so a bound published by a concurrent shard tightens this walk's
-		// break and the within-bucket prunes below (monotone — see
-		// mips.QueryOptions.Board).
-		if scr.board != nil {
-			h.RaiseFloor(scr.board.Floor(scr.cell))
 		}
 		// Pruning must survive two hazards: an exact tie can still enter the
 		// heap via the lower-item-id rule, and the bound itself is computed

@@ -12,10 +12,10 @@ import (
 	"optimus/internal/topk"
 )
 
-// QueryOptions carries the optional floor source of a QueryCtx call. At most
-// one of Floors and Board may be set; both nil is a plain query. Either
-// source only changes the starting value of the running k-th score every
-// solver already prunes against.
+// QueryOptions carries the optional floor source of a QueryCtx call: static
+// per-user Floors, or nil for a plain query. Floors only change the
+// starting value of the running k-th score every solver already prunes
+// against.
 type QueryOptions struct {
 	// Floors, when non-nil, seeds the query with static per-user floors —
 	// the floor contract, verified by VerifyFloorPrefix. floors[i] is a
@@ -30,41 +30,14 @@ type QueryOptions struct {
 	// merge on the lower-item-id rule. With every floor at -Inf the call is
 	// equivalent to Query.
 	Floors []float64
-
-	// Board, when non-nil, is a live floor source — the pipelined wave
-	// schedule, where shards run concurrently and publish each user's k-th
-	// score the moment their own scan completes. Cell i belongs to user
-	// userIDs[i], so Board.Len() must equal len(userIDs). Every cell is, at
-	// every instant, a valid lower bound on its user's global k-th score,
-	// and only ever rises (topk.FloorBoard enforces the monotonicity). The
-	// solver seeds each user's heap from the cell at the start of that
-	// user's scan and may re-poll it at any of its pruning decision points,
-	// raising the heap floor via topk.Heap.RaiseFloor; solvers without live
-	// polling snapshot the board into static Floors. Either way the result
-	// is entry-for-entry the prefix a static Floors query at the highest
-	// floor observed would return. Because observed floors only rise, that
-	// result also satisfies the floor contract against any later cell
-	// value: callers certify with VerifyFloorPrefix using a board snapshot
-	// taken at or after return (a snapshot from call entry would be too low
-	// — entries between it and the observed floor were legitimately
-	// dropped). With no concurrent raisers the call is fully deterministic;
-	// under concurrency the result set is still exact, only the scan counts
-	// vary with raise timing.
-	Board *topk.FloorBoard
 }
 
 // ValidateQueryOptions checks the QueryCtx argument shapes shared by all
-// implementations: at most one floor source, floors aligned with userIDs
-// and free of NaN, a board with one cell per user. A board cannot hold NaN
-// (FloorBoard ignores it at Raise), so only its alignment is checked.
+// implementations: floors, when present, aligned with userIDs and free of
+// NaN.
 func ValidateQueryOptions(userIDs []int, opts QueryOptions) error {
-	switch {
-	case opts.Floors != nil && opts.Board != nil:
-		return fmt.Errorf("mips: QueryOptions carries both floors and a board (want at most one floor source)")
-	case opts.Floors != nil:
+	if opts.Floors != nil {
 		return ValidateFloors(userIDs, opts.Floors)
-	case opts.Board != nil && opts.Board.Len() != len(userIDs):
-		return fmt.Errorf("mips: floor board has %d cells for %d users", opts.Board.Len(), len(userIDs))
 	}
 	return nil
 }
@@ -173,9 +146,6 @@ func (n *Naive) QueryCtx(ctx context.Context, userIDs []int, k int, opts QueryOp
 func floorAt(opts QueryOptions, qi int) float64 {
 	if opts.Floors != nil {
 		return opts.Floors[qi]
-	}
-	if opts.Board != nil {
-		return opts.Board.Floor(qi)
 	}
 	return math.Inf(-1)
 }

@@ -24,7 +24,6 @@ import (
 	"optimus/internal/mat"
 	"optimus/internal/mips"
 	"optimus/internal/shard"
-	"optimus/internal/topk"
 )
 
 // mutatorFactories is the full Solver conformance matrix, one entry per
@@ -272,9 +271,9 @@ func TestAddUsersMatchesFreshBuild(t *testing.T) {
 
 // TestQueryContract pins the one query contract every solver honors through
 // QueryCtx, bare and behind a fault wrapper with an empty plan: zero options
-// are Query entry for entry, static floors and a live board (without
-// concurrent raisers) both return the floor prefix of the unseeded answer,
-// and malformed options or a cancelled ctx fail instead of answering.
+// are Query entry for entry, static floors return the floor prefix of the
+// unseeded answer, and malformed options or a cancelled ctx fail instead of
+// answering.
 func TestQueryContract(t *testing.T) {
 	m := conformanceModel(t, 0)
 	const k = 6
@@ -326,19 +325,7 @@ func TestQueryContract(t *testing.T) {
 				if err := mips.VerifyFloorPrefix(want, seeded, floors); err != nil {
 					t.Fatalf("floors: %v", err)
 				}
-				board := topk.NewFloorBoard(len(ids))
-				board.Fill(floors)
-				live, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{Board: board})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := mips.VerifyFloorPrefix(want, live, board.Snapshot(nil)); err != nil {
-					t.Fatalf("board: %v", err)
-				}
 
-				if _, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors, Board: board}); err == nil {
-					t.Fatal("both floor sources accepted")
-				}
 				nan := floorsAt(len(ids), math.Inf(-1))
 				nan[1] = math.NaN()
 				if _, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: nan}); err == nil {
@@ -346,9 +333,6 @@ func TestQueryContract(t *testing.T) {
 				}
 				if _, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors[:1]}); err == nil {
 					t.Fatal("floor/user length mismatch accepted")
-				}
-				if _, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{Board: topk.NewFloorBoard(1)}); err == nil {
-					t.Fatal("board/user length mismatch accepted")
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()

@@ -82,7 +82,6 @@ func TestGroupDeadlinePropagates(t *testing.T) {
 	sh := shard.New(shard.Config{
 		Shards:      4,
 		Partitioner: shard.ByNorm(),
-		Schedule:    shard.Pipelined,
 		Factory: func() mips.Solver {
 			return faulty.Wrap(core.NewBMM(core.BMMConfig{}), faulty.Plan{Faults: []faulty.Fault{{
 				Op: faulty.OpQuery, Call: 1, Kind: faulty.KindLatency, Latency: 5 * time.Second,
@@ -110,7 +109,7 @@ func TestGroupDeadlinePropagates(t *testing.T) {
 		t.Fatalf("hung shards stalled the caller %v past a 50ms deadline", elapsed)
 	}
 	// A ctx-type group error is not retried, so the hung solver was entered
-	// exactly once per shard; a second, deadline-free query must hang — do
+	// at most once per shard; a second, deadline-free query must hang — do
 	// not issue one. Instead confirm the shards were not quarantined: the
 	// deadline is the caller's fault, not the shards'.
 	for _, h := range sh.Health() {
@@ -120,20 +119,19 @@ func TestGroupDeadlinePropagates(t *testing.T) {
 	}
 }
 
-// TestPanicDuringPipelinedServingWithLogMutations is the satellite -race
-// scenario: one shard's sub-solver panics mid-pipelined-query while catalog
-// mutations flow through the server's mutation log. Degraded-mode queries
+// TestPanicDuringServingWithLogMutations is the -race scenario: one shard's
+// sub-solver panics mid-query while catalog mutations flow through the
+// server's mutation log. Degraded-mode queries
 // keep answering (the panic becomes a Coverage gap), the generation contract
 // holds (the serving generation ticks with the catalog), the shard revives,
 // and the final state passes the mutation oracle against a freshly built
 // solver.
-func TestPanicDuringPipelinedServingWithLogMutations(t *testing.T) {
+func TestPanicDuringServingWithLogMutations(t *testing.T) {
 	users, items := randMatrices(120, 160, 6, 3)
 	var made int32
 	sh := shard.New(shard.Config{
 		Shards:               4,
 		Partitioner:          shard.ByNorm(),
-		Schedule:             shard.Pipelined,
 		RetainShardSnapshots: true,
 		Factory: func() mips.Solver {
 			s := core.NewBMM(core.BMMConfig{})

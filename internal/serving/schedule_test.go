@@ -2,6 +2,7 @@ package serving
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"optimus/internal/lemp"
@@ -29,7 +30,7 @@ func buildSharded(t testing.TB) (*shard.Sharded, int) {
 // with both fields empty.
 func TestServerSchedule(t *testing.T) {
 	sh, nUsers := buildSharded(t)
-	srv, err := New(sh, Config{Schedule: "cascade"})
+	srv, err := New(sh, Config{Schedule: "single"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +41,11 @@ func TestServerSchedule(t *testing.T) {
 		}
 	}
 	st := srv.Stats()
-	if st.Schedule != "cascade" {
-		t.Fatalf("Stats.Schedule = %q, want cascade", st.Schedule)
+	if st.Schedule != "single" {
+		t.Fatalf("Stats.Schedule = %q, want single", st.Schedule)
 	}
-	if len(st.WaveScans) != 3 {
-		t.Fatalf("%d wave-scan groups, want 3 (one per cascade wave)", len(st.WaveScans))
+	if len(st.WaveScans) != 1 {
+		t.Fatalf("%d wave-scan groups, want 1 (the single wave)", len(st.WaveScans))
 	}
 	var total int64
 	for _, w := range st.WaveScans {
@@ -79,11 +80,19 @@ func TestServerScheduleDefaults(t *testing.T) {
 
 func TestServerScheduleErrors(t *testing.T) {
 	sh, _ := buildSharded(t)
-	if _, err := New(sh, Config{Schedule: "warp"}); err == nil {
-		t.Fatal("unknown schedule name must fail New")
+	// Unknown names — the removed schedules included — fail New with an
+	// error listing the valid names.
+	for _, name := range []string{"warp", "auto", "cascade", "pipelined"} {
+		_, err := New(sh, Config{Schedule: name})
+		if err == nil {
+			t.Fatalf("schedule %q must fail New", name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "two-wave") || !strings.Contains(msg, "single") {
+			t.Fatalf("schedule %q: error %q must list the valid names", name, msg)
+		}
 	}
 	plain, _, _ := buildSolver(t, 20, 30, 4)
-	if _, err := New(plain, Config{Schedule: "cascade"}); err == nil {
+	if _, err := New(plain, Config{Schedule: "single"}); err == nil {
 		t.Fatal("scheduling an unscheduled solver must fail New")
 	}
 }

@@ -50,10 +50,10 @@ type Config struct {
 	// Query blocks (or fails with ctx) when the queue is full. Default 1024.
 	QueueDepth int
 	// Schedule, when non-empty, selects the wave schedule of a sharded
-	// solver by canonical name ("auto", "single", "two-wave", "cascade",
-	// "pipelined"). New applies it through the solver's structural
-	// SetScheduleByName method and fails on an unknown name or a solver
-	// without wave scheduling. Empty leaves the solver's schedule alone.
+	// solver by canonical name ("two-wave" or "single"). New applies it
+	// through the solver's structural SetScheduleByName method and fails on
+	// an unknown name (the error lists the valid ones) or a solver without
+	// wave scheduling. Empty leaves the solver's schedule alone.
 	Schedule string
 	// AllowPartial switches the server to degraded-mode dispatch: batches
 	// are answered through the solver's mips.PartialQuerier — results come
@@ -103,8 +103,8 @@ type Stats struct {
 	// the solver has no wave scheduling), and WaveScans its cumulative
 	// per-wave scan counts (nil likewise) — the serving-side view of the
 	// sharded executor's fan-out structure. WaveScans indexes by wave of the
-	// active schedule: [head, tails] for two-wave, one entry per shard for
-	// cascade/pipelined, a single total for single-wave.
+	// active schedule: [head, tails] for two-wave, a single total for
+	// single-wave.
 	Schedule  string
 	WaveScans []mips.ScanStats
 	// Retunes counts adaptive re-structures committed through this server
@@ -499,6 +499,12 @@ func (s *Server) drain() {
 // lock throughout, so the whole batch — retries included — answers against
 // one catalog generation (see Mutate).
 func (s *Server) dispatch(batch []request) {
+	// Count the batch before answering any of it, so a caller that reads
+	// Stats right after its answer arrives always sees that answer counted.
+	s.mu.Lock()
+	s.requests += int64(len(batch))
+	s.batches++
+	s.mu.Unlock()
 	s.solverMu.RLock()
 	defer s.solverMu.RUnlock()
 	byK := make(map[int][]request)
@@ -534,10 +540,6 @@ func (s *Server) dispatch(batch []request) {
 			req.done <- response{entries: results[i], cov: cov}
 		}
 	}
-	s.mu.Lock()
-	s.requests += int64(len(batch))
-	s.batches++
-	s.mu.Unlock()
 }
 
 // queryGroup is the single seam every batch (and retry) answers through:

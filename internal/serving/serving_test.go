@@ -100,6 +100,27 @@ func TestConcurrentQueriesAllExact(t *testing.T) {
 	}
 }
 
+// TestStatsCountAnsweredRequests pins the Stats ordering: dispatch counts a
+// batch before answering any of it, so a caller that reads Stats right
+// after each of its answers always sees every answer so far counted.
+func TestStatsCountAnsweredRequests(t *testing.T) {
+	solver, _, _ := buildSolver(t, 50, 40, 4)
+	srv, err := New(solver, Config{MaxDelay: 10 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const answers = 400
+	for i := 0; i < answers; i++ {
+		if _, err := srv.Query(context.Background(), i%50, 3); err != nil {
+			t.Fatal(err)
+		}
+		if st := srv.Stats(); st.Requests < int64(i+1) {
+			t.Fatalf("after %d answers Stats().Requests = %d", i+1, st.Requests)
+		}
+	}
+}
+
 func TestBatchingActuallyBatches(t *testing.T) {
 	solver, _, _ := buildSolver(t, 100, 60, 6)
 	srv, err := New(solver, Config{MaxBatch: 64, MaxDelay: 20 * time.Millisecond})

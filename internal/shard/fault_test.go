@@ -124,12 +124,12 @@ func assertAllHealthy(t *testing.T, sh *Sharded) {
 }
 
 // TestFaultMatrix is the containment matrix: {error, panic, hang-past-
-// deadline} × {single, two-wave, cascade, pipelined} × {strict, partial}.
-// Strict mode fails closed with a typed error naming the faulty shard, the
-// shard quarantines and revives, and post-revival answers are entry-identical
-// to a never-faulted composite. Partial mode absorbs the fault into a
-// Coverage gap with the covered subset exact. Context errors (the hang cells)
-// never quarantine.
+// deadline} × {single, two-wave} × {strict, partial}. Strict mode fails
+// closed with a typed error naming the faulty shard, the shard quarantines
+// and revives, and post-revival answers are entry-identical to a
+// never-faulted composite. Partial mode absorbs the fault into a Coverage
+// gap with the covered subset exact. Context errors (the hang cells) never
+// quarantine.
 func TestFaultMatrix(t *testing.T) {
 	m := model(t, "netflix-nomad-25", 0.04)
 	const k = 7
@@ -141,7 +141,7 @@ func TestFaultMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	schedules := []Schedule{SingleWave, TwoWave, Cascade, Pipelined}
+	schedules := []Schedule{SingleWave, TwoWave}
 	kinds := []faulty.Kind{faulty.KindError, faulty.KindPanic, faulty.KindLatency}
 	for _, schedule := range schedules {
 		for _, kind := range kinds {
@@ -273,14 +273,14 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestHungShardDeadline pins the pipelined hot path's liveness bound: one
+// TestHungShardDeadline pins the fan-out's liveness bound: one
 // shard hangs far past the deadline, the query returns at the deadline (plus
 // scheduling slack), no goroutine outlives it, and the hang does not
 // quarantine the shard.
 func TestHungShardDeadline(t *testing.T) {
 	m := model(t, "netflix-nomad-25", 0.04)
 	const k = 7
-	sh := newFaultComposite(t, m.Users, m.Items, Pipelined, false)
+	sh := newFaultComposite(t, m.Users, m.Items, TwoWave, false)
 	armShard(sh, faultTarget, faulty.Plan{Faults: []faulty.Fault{{
 		Op: faulty.OpQuery, Call: 1, Kind: faulty.KindLatency, Latency: 5 * time.Second,
 	}}})

@@ -83,11 +83,11 @@ func (s *Sharded) Save(w io.Writer) error {
 		})
 	}
 	// The requested wave schedule rides as an *optional trailing* section:
-	// written only when it differs from AutoSchedule, so default-config
+	// written only when it differs from TwoWave, so default-config
 	// snapshots stay byte-identical to the pinned v1 goldens, and older
 	// readers (whose Close ignores trailing sections) still load
 	// schedule-bearing snapshots — additive evolution, no version bump.
-	if s.cfg.Schedule != AutoSchedule {
+	if s.cfg.Schedule != TwoWave {
 		pw.Section("schedule", func(e *persist.Encoder) {
 			e.String(s.cfg.Schedule.String())
 		})
@@ -234,8 +234,9 @@ func (s *Sharded) Load(r io.Reader) error {
 		parts = append(parts, ids)
 	}
 	// Optional trailing schedule section (see Save): absent in pre-schedule
-	// and default-config snapshots, which load as AutoSchedule.
-	schedule := AutoSchedule
+	// and default-config snapshots, which load as TwoWave. A section naming
+	// an unknown schedule fails the load with the valid names.
+	schedule := TwoWave
 	if d, ok := pr.SectionIf("schedule"); ok {
 		name := d.String()
 		if err := d.Err(); err != nil {
@@ -291,19 +292,14 @@ func (s *Sharded) Load(r io.Reader) error {
 		}
 	}
 	// Restore the drift surface: fresh counters against the loaded shard
-	// set, the persisted baseline (if any) pre-locked so regression
-	// detection works without a fresh serving window, and the norm skew the
-	// auto schedule reads recomputed from the restored cut.
+	// set, and the persisted baseline (if any) pre-locked so regression
+	// detection works without a fresh serving window.
 	s.retunes = 0
 	s.resetDriftLocked()
 	if driftBaseline > 0 {
 		s.driftMu.Lock()
 		s.scanBaseline = driftBaseline
 		s.driftMu.Unlock()
-	}
-	s.normSkew = 0
-	if s.headFirst && len(parts) > 1 {
-		s.normSkew = computeNormSkew(items.RowNorms(), parts)
 	}
 	s.refreshComposite()
 	return nil

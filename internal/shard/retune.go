@@ -5,10 +5,10 @@
 //
 // # What drifts
 //
-// Build freezes four structural decisions against the build-time corpus:
-// the by-norm cutoffs (mutate.go's routing floors), the shard count S, the
-// per-shard OPTIMUS plans, and the wave schedule's norm-skew input. Churn
-// through the mutation log invalidates all four while leaving exactness
+// Build freezes three structural decisions against the build-time corpus:
+// the by-norm cutoffs (mutate.go's routing floors), the shard count S, and
+// the per-shard OPTIMUS plans. Churn through the mutation log invalidates
+// all three while leaving exactness
 // intact — the composite keeps answering correctly, it just scans more.
 // DriftStats exposes the evidence the composite already collects: per-shard
 // add/remove counters, the arrival-routing histogram against the stale
@@ -207,7 +207,6 @@ type stagedRetune struct {
 	epoch     uint64
 	shards    []shardState
 	normFloor []float64
-	normSkew  float64
 	nShards   int
 	committed bool
 	result    adapt.RetuneResult
@@ -239,8 +238,8 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 
 	// The union of floors the old cut's tail shards observed, re-seeded
 	// into the new cut's floor-aware estimators (buildShard): a re-cut
-	// tail shard sizes its blocks for the thresholds wave scheduling will
-	// actually feed it, not for cold heaps.
+	// tail shard sizes its blocks for the thresholds the two-wave schedule
+	// will actually feed it, not for cold heaps.
 	var seed []float64
 	for i := 1; i < len(s.obs); i++ {
 		if s.obs[i] == nil {
@@ -262,7 +261,6 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 	type built struct {
 		shards    []shardState
 		normFloor []float64
-		normSkew  float64
 		nShards   int
 	}
 	var norms []float64
@@ -281,7 +279,6 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 		b := built{shards: shards, nShards: len(parts)}
 		if s.headFirst {
 			b.normFloor = computeNormFloors(norms, parts)
-			b.normSkew = computeNormSkew(norms, parts)
 		}
 		return b, nil
 	}
@@ -319,7 +316,7 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 			if err != nil {
 				return nil, err
 			}
-			probe := s.measureComposite(b.shards, b.normFloor, b.normSkew, b.nShards)
+			probe := s.measureComposite(b.shards, b.normFloor, b.nShards)
 			start := time.Now()
 			if _, err := probe.Query(sample, k); err != nil {
 				return nil, fmt.Errorf("shard: retune sample at S=%d: %w", b.nShards, err)
@@ -348,7 +345,6 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 		epoch:     epoch,
 		shards:    chosen.shards,
 		normFloor: chosen.normFloor,
-		normSkew:  chosen.normSkew,
 		nShards:   chosen.nShards,
 		result: adapt.RetuneResult{
 			Trigger:   req.Trigger,
@@ -400,7 +396,7 @@ func candidateShardCounts(req adapt.RetuneRequest, curS, items int) []int {
 // the S sweep times the real query path (schedule resolution, fan-out,
 // merge) rather than a proxy. The scratch composite shares the immutable
 // corpus matrices and is discarded after the measurement.
-func (s *Sharded) measureComposite(shards []shardState, normFloor []float64, normSkew float64, nShards int) *Sharded {
+func (s *Sharded) measureComposite(shards []shardState, normFloor []float64, nShards int) *Sharded {
 	tmp := &Sharded{
 		cfg:       s.cfg,
 		name:      s.name,
@@ -410,7 +406,6 @@ func (s *Sharded) measureComposite(shards []shardState, normFloor []float64, nor
 		headFirst: s.headFirst,
 		normFloor: normFloor,
 		userNorms: s.userNorms,
-		normSkew:  normSkew,
 	}
 	tmp.cfg.Shards = nShards
 	tmp.resetHealth(len(shards))
@@ -447,7 +442,6 @@ func (s *Sharded) CommitRetune(staged adapt.StagedRetune) error {
 	s.epoch++
 	s.shards = st.shards
 	s.normFloor = st.normFloor
-	s.normSkew = st.normSkew
 	s.cfg.Shards = st.nShards
 	s.name = s.composeName(st.nShards)
 	// The old cut's observed-floor boards describe memberships that no

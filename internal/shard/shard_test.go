@@ -476,7 +476,7 @@ func TestTwoWaveMatchesSingleWave(t *testing.T) {
 					if err := blind.Build(m.Users, m.Items); err != nil {
 						t.Fatal(err)
 					}
-					if blind.TwoWave() {
+					if blind.ActiveSchedule() == TwoWave {
 						t.Fatal("Schedule SingleWave must force single-wave")
 					}
 					want, err := blind.QueryAll(k)
@@ -489,7 +489,7 @@ func TestTwoWaveMatchesSingleWave(t *testing.T) {
 					if err := seeded.Build(m.Users, m.Items); err != nil {
 						t.Fatal(err)
 					}
-					if !seeded.TwoWave() {
+					if seeded.ActiveSchedule() != TwoWave {
 						t.Fatalf("by-norm Sharded(%s) must enable the two-wave path", sub)
 					}
 					got, err := seeded.QueryAll(k)
@@ -591,7 +591,7 @@ func TestTwoWaveFallbacks(t *testing.T) {
 			if err := sh.Build(m.Users, m.Items); err != nil {
 				t.Fatal(err)
 			}
-			if sh.TwoWave() {
+			if sh.ActiveSchedule() == TwoWave {
 				t.Fatal("two-wave must not engage")
 			}
 			res, err := sh.QueryAll(k)

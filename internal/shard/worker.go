@@ -6,7 +6,7 @@
 // merge, floor-propagation, quarantine/revival, and retune machinery.
 //
 // The contract is deliberately minimal: one query entry point covering every
-// dispatch mode the coordinator uses (ctx, static floors, live board), the
+// dispatch mode the coordinator uses (ctx, static floors), the
 // three mutation calls the dirty-shard paths need, a snapshot for persistence
 // and revival, scan accounting, and a static capability word. Every solver
 // implements the whole mips.Solver contract — floors and deadlines through
@@ -44,10 +44,12 @@ type WorkerCaps struct {
 // queries, exclusive mutation).
 //
 // Query is the single dispatch entry point, mips.Solver.QueryCtx with the
-// two floor sources spelled out. ctx may be nil (never cancels); at most one
-// of floors and board is non-nil. The floor contracts are those of
-// mips.QueryOptions: seeded results must be a prefix of the unseeded ones
-// with ties at the floor retained.
+// floors spelled out. ctx may be nil (never cancels). The floor contract is
+// that of mips.QueryOptions: seeded results must be a prefix of the
+// unseeded ones with ties at the floor retained. The coordinator always
+// passes a nil board; a non-nil one is snapshotted into static floors (a
+// FloorBoard's cells only rise, so a snapshot is a valid floor), and at
+// most one of floors and board may be non-nil.
 //
 // Error semantics carry the containment policy (health.go settle): a context
 // error returned from Query must satisfy errors.Is against context.Canceled
@@ -108,7 +110,10 @@ func (w *localWorker) Solver() mips.Solver { return w.solver }
 
 // Query implements Worker with one QueryCtx call.
 func (w *localWorker) Query(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, error) {
-	return w.solver.QueryCtx(ctx, userIDs, k, mips.QueryOptions{Floors: floors, Board: board})
+	if board != nil {
+		floors = board.Snapshot(nil)
+	}
+	return w.solver.QueryCtx(ctx, userIDs, k, mips.QueryOptions{Floors: floors})
 }
 
 // AddItems implements Worker.

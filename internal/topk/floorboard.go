@@ -6,14 +6,11 @@ import (
 )
 
 // FloorBoard is a set of per-user score floors that only ever rise — the
-// shared state behind the pipelined wave schedule. Each cell holds a lower
-// bound on one user's global k-th score; concurrent writers tighten a cell
-// with Raise (a CAS-max loop) while concurrent readers poll it with Floor at
-// their pruning decision points. Monotonicity is the whole correctness
-// argument: a solver that observed floor f for a user and later observes
-// f' >= f has only ever pruned candidates strictly below a *valid* lower
-// bound, so its result still satisfies the floor contract at the highest
-// floor it saw (see mips.QueryOptions.Board).
+// sharded executor's observed-floor record, which concurrent queries raise
+// with the floors they fed each shard and dirty-shard rebuilds replay into
+// floor-aware estimators. Each cell holds a lower bound on one user's
+// global k-th score; concurrent writers tighten a cell with Raise (a
+// CAS-max loop) while readers take Floor or a Snapshot.
 //
 // Cells store math.Float64bits values in atomic.Uint64s. Raw uint64
 // comparison does not order floats across the sign boundary, so Raise
@@ -30,8 +27,8 @@ var negInfBits = math.Float64bits(math.Inf(-1))
 // NewFloorBoard returns a board of n cells, all -Inf (no bound).
 func NewFloorBoard(n int) *FloorBoard {
 	b := &FloorBoard{cells: make([]atomic.Uint64, n)}
-	if negInfBits != 0 {
-		b.Reset()
+	for i := range b.cells {
+		b.cells[i].Store(negInfBits)
 	}
 	return b
 }
@@ -64,18 +61,9 @@ func (b *FloorBoard) Raise(i int, floor float64) bool {
 	}
 }
 
-// Fill raises every cell to its entry in floors (len must match), the bulk
-// seeding step when a query arrives with external floors already in hand.
-func (b *FloorBoard) Fill(floors []float64) {
-	for i, f := range floors {
-		b.Raise(i, f)
-	}
-}
-
 // Snapshot appends every cell's current bound to dst (allocating when dst is
-// nil or short) and returns it — the bridge from a live board to static
-// []float64 floors, for solvers that cannot poll and for the wire. The snapshot is only a
-// point-in-time lower bound per cell; cells may rise immediately after.
+// nil or short) and returns it: a point-in-time lower bound per cell;
+// cells may rise immediately after.
 func (b *FloorBoard) Snapshot(dst []float64) []float64 {
 	if cap(dst) < len(b.cells) {
 		dst = make([]float64, len(b.cells))
@@ -85,12 +73,4 @@ func (b *FloorBoard) Snapshot(dst []float64) []float64 {
 		dst[i] = b.Floor(i)
 	}
 	return dst
-}
-
-// Reset lowers every cell back to -Inf for reuse. It must not race Raise or
-// Floor — pooled boards reset between queries, never during one.
-func (b *FloorBoard) Reset() {
-	for i := range b.cells {
-		b.cells[i].Store(negInfBits)
-	}
 }

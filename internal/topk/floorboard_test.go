@@ -47,10 +47,8 @@ func TestFloorBoardBasics(t *testing.T) {
 		t.Fatalf("cell 2 = %v, want -3", b.Floor(2))
 	}
 
-	b.Fill([]float64{2.0, 0.5, -10})
-	if b.Floor(0) != 2.0 || b.Floor(1) != 0.5 || b.Floor(2) != -3 {
-		t.Fatalf("Fill is Raise per cell: got [%v %v %v]", b.Floor(0), b.Floor(1), b.Floor(2))
-	}
+	b.Raise(0, 2.0)
+	b.Raise(1, 0.5)
 
 	snap := b.Snapshot(nil)
 	if len(snap) != 3 || snap[0] != 2.0 || snap[1] != 0.5 || snap[2] != -3 {
@@ -60,13 +58,6 @@ func TestFloorBoardBasics(t *testing.T) {
 	snap2 := b.Snapshot(reuse)
 	if &snap2[0] != &reuse[:1][0] {
 		t.Fatal("Snapshot must reuse a dst with sufficient capacity")
-	}
-
-	b.Reset()
-	for i := 0; i < 3; i++ {
-		if !math.IsInf(b.Floor(i), -1) {
-			t.Fatalf("cell %d after Reset = %v, want -Inf", i, b.Floor(i))
-		}
 	}
 }
 
@@ -140,93 +131,4 @@ func FuzzFloorBoard(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestRaiseFloorMatchesStaticSeed is the RaiseFloor contract: interleaving
-// Push with monotone RaiseFloor calls must leave exactly the state of a heap
-// statically seeded at the *final* floor and fed every entry — mid-stream
-// raises retroactively evict what a tighter initial seed would have rejected
-// (ties at the floor retained).
-func TestRaiseFloorMatchesStaticSeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		k := 1 + rng.Intn(6)
-		n := rng.Intn(60)
-		live := New(k)
-		finalFloor := math.Inf(-1)
-		type ev struct {
-			score float64
-			raise bool
-		}
-		var evs []ev
-		for i := 0; i < n; i++ {
-			if rng.Intn(4) == 0 {
-				f := rng.NormFloat64()
-				evs = append(evs, ev{f, true})
-				if f > finalFloor {
-					finalFloor = f
-				}
-			} else {
-				evs = append(evs, ev{rng.NormFloat64(), false})
-			}
-		}
-		items := 0
-		for _, e := range evs {
-			if e.raise {
-				live.RaiseFloor(e.score)
-			} else {
-				live.Push(items, e.score)
-				items++
-			}
-		}
-		var static *Heap
-		if math.IsInf(finalFloor, -1) {
-			static = New(k)
-		} else {
-			static = NewSeeded(k, finalFloor)
-		}
-		items = 0
-		for _, e := range evs {
-			if !e.raise {
-				static.Push(items, e.score)
-				items++
-			}
-		}
-		want, got := static.Sorted(), live.Sorted()
-		if len(want) != len(got) {
-			t.Fatalf("trial %d: %d entries, want %d (floor %v)", trial, len(got), len(want), finalFloor)
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("trial %d rank %d: %+v, want %+v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestRaiseFloorEdges pins the non-property edges: NaN ignored, lower floors
-// ignored, ties at the floor retained.
-func TestRaiseFloorEdges(t *testing.T) {
-	h := New(3)
-	h.Push(1, 5)
-	h.Push(2, 3)
-	h.Push(3, 1)
-	h.RaiseFloor(math.NaN())
-	if h.Len() != 3 {
-		t.Fatal("NaN raise must be ignored")
-	}
-	h.RaiseFloor(3)
-	if h.Len() != 2 {
-		t.Fatalf("raise to 3 must evict the 1 (tie at 3 retained): %v", h.Sorted())
-	}
-	h = New(3)
-	h.Push(1, 5)
-	h.RaiseFloor(2)
-	h.RaiseFloor(1) // lower: no-op
-	if h.Floor() != 2 {
-		t.Fatalf("floor = %v, want 2", h.Floor())
-	}
-	if h.Push(2, 1.5) {
-		t.Fatal("push below the raised floor must be rejected")
-	}
 }

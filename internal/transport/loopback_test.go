@@ -75,7 +75,7 @@ func TestLoopbackEquivalenceMatrix(t *testing.T) {
 	m := model(t, "netflix-nomad-25", 0.04)
 	const k = 7
 	ids := mips.AllUserIDs(m.Users.Rows())
-	schedules := []shard.Schedule{shard.SingleWave, shard.TwoWave, shard.Cascade, shard.Pipelined}
+	schedules := []shard.Schedule{shard.SingleWave, shard.TwoWave}
 	for sub, factory := range factories() {
 		for _, schedule := range schedules {
 			for _, shards := range []int{2, 4} {
@@ -198,12 +198,10 @@ func TestLoopbackEquivalenceMatrix(t *testing.T) {
 // TestLoopbackScanStatParity is the scan-attribution regression gate
 // (coordinator-side ShardScanStats/WaveScanStats must aggregate
 // worker-reported counters identically through loopback and direct paths).
-// Pipelined is excluded: its live floor board makes tail scan counts
-// scheduling-dependent, so only the deterministic schedules pin equality.
 func TestLoopbackScanStatParity(t *testing.T) {
 	m := model(t, "netflix-nomad-25", 0.04)
 	const k = 7
-	for _, schedule := range []shard.Schedule{shard.SingleWave, shard.TwoWave, shard.Cascade} {
+	for _, schedule := range []shard.Schedule{shard.SingleWave, shard.TwoWave} {
 		t.Run(schedule.String(), func(t *testing.T) {
 			cfg := shard.Config{
 				Shards:      4,

@@ -86,12 +86,11 @@ type Entry = topk.Entry
 type Solver = mips.Solver
 
 // QueryOptions carries the optional floor source of a Solver.QueryCtx call:
-// static per-user Floors or a live Board of floors that only rise. A floor
-// is a caller-known lower bound on a user's global k-th score; the solver
-// prunes against it from the first candidate and returns a prefix of the
-// unseeded result (every entry at or above the floor, identically ranked,
-// ties at the floor retained). Every solver accepts both; the sharded wave
-// schedules are built on them.
+// static per-user Floors. A floor is a caller-known lower bound on a user's
+// global k-th score; the solver prunes against it from the first candidate
+// and returns a prefix of the unseeded result (every entry at or above the
+// floor, identically ranked, ties at the floor retained). Every solver
+// accepts them; the sharded two-wave schedule is built on them.
 type QueryOptions = mips.QueryOptions
 
 // ItemMutator is the Solver method group for mutable item corpora —
@@ -264,23 +263,18 @@ type Sharded = shard.Sharded
 // count (the dirty-shard rebuild accounting).
 type ShardPlan = shard.Plan
 
-// WaveSchedule selects how a Sharded query fans out across shards and how
-// completed shards' partial results tighten the floors of the rest (see
-// ShardedConfig.Schedule and Sharded.SetSchedule): ScheduleAuto resolves to
-// two-wave when floor propagation is available; ScheduleSingle is the blind
-// fan-out; ScheduleCascade runs serial waves with union-k floors;
-// SchedulePipelined runs every shard concurrently over a live floor board.
-// Results are exact under every schedule.
+// WaveSchedule selects how a Sharded query fans out across shards (see
+// ShardedConfig.Schedule and Sharded.SetSchedule). ScheduleTwoWave, the
+// zero value, answers the head shard first and seeds every tail shard with
+// each user's k-th head score; it falls back to the blind fan-out when the
+// composite cannot propagate floors. ScheduleSingle is the blind fan-out.
+// Results are exact under both schedules.
 type WaveSchedule = shard.Schedule
 
-// The wave schedules, by canonical name ("auto", "single", "two-wave",
-// "cascade", "pipelined").
+// The wave schedules, by canonical name ("two-wave", "single").
 const (
-	ScheduleAuto      = shard.AutoSchedule
-	ScheduleSingle    = shard.SingleWave
-	ScheduleTwoWave   = shard.TwoWave
-	ScheduleCascade   = shard.Cascade
-	SchedulePipelined = shard.Pipelined
+	ScheduleTwoWave = shard.TwoWave
+	ScheduleSingle  = shard.SingleWave
 )
 
 // ParseWaveSchedule maps a canonical schedule name to its WaveSchedule.
